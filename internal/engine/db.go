@@ -39,6 +39,10 @@ type Database struct {
 	autoOrdered atomic.Int64
 	hashProbes  atomic.Int64
 	rangeProbes atomic.Int64
+	// Write-side access-path counters (matchForWrite in access.go).
+	writeProbes       atomic.Int64
+	writeScans        atomic.Int64
+	writeRowsExamined atomic.Int64
 }
 
 // NewDatabase creates an empty database with a default-capacity update log.
@@ -259,35 +263,19 @@ func (db *Database) execDelete(s *sqlparser.DeleteStmt) (*Result, error) {
 	if t == nil {
 		return nil, fmt.Errorf("engine: no table %s", s.Table)
 	}
-	ids := map[int64]bool{}
-	var scanErr error
-	env := Env{}.Bind(t.Schema.Table, t.Schema, nil)
-	t.Scan(func(id int64, r mem.Row) bool {
-		if s.Where != nil {
-			env.rebind(r)
-			v, err := Eval(s.Where, env)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			tr, err := Truth(v)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if tr != True {
-				return true
-			}
-		}
-		ids[id] = true
-		return true
+	var ids []int64
+	err := db.matchForWrite(t, s.Where, func(id int64, _ mem.Row, _ Env) error {
+		ids = append(ids, id)
+		return nil
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
+	// The table no longer references a removed row, so the record takes it
+	// without a copy.
 	removed := t.Delete(ids)
 	for _, r := range removed {
-		db.logAndFire(UpdateRecord{Table: t.Schema.Table, Op: OpDelete, Columns: t.Schema.ColumnNames(), Row: r.Clone()})
+		db.logAndFire(UpdateRecord{Table: t.Schema.Table, Op: OpDelete, Columns: t.Schema.ColumnNames(), Row: r})
 	}
 	return &Result{RowsAffected: len(removed)}, nil
 }
@@ -306,59 +294,40 @@ func (db *Database) execUpdate(s *sqlparser.UpdateStmt) (*Result, error) {
 		}
 		setPos[i] = ci
 	}
-	// Two phases: collect matching rows first, then mutate, so the WHERE
-	// predicate never observes half-updated data.
+	// Two phases: collect matching rows first, then mutate, so neither the
+	// WHERE predicate nor an index probe observes half-updated data.
 	type change struct {
 		id  int64
 		old mem.Row
 		new mem.Row
 	}
 	var changes []change
-	var scanErr error
-	env := Env{}.Bind(schema.Table, schema, nil)
-	t.Scan(func(id int64, r mem.Row) bool {
-		env.rebind(r)
-		if s.Where != nil {
-			v, err := Eval(s.Where, env)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			tr, err := Truth(v)
-			if err != nil {
-				scanErr = err
-				return false
-			}
-			if tr != True {
-				return true
-			}
-		}
+	err := db.matchForWrite(t, s.Where, func(id int64, r mem.Row, env Env) error {
 		nr := r.Clone()
 		for i, a := range s.Set {
 			v, err := Eval(a.Value, env)
 			if err != nil {
-				scanErr = err
-				return false
+				return err
 			}
 			nr[setPos[i]] = v
 		}
 		validated, err := t.ValidateRow(nr)
 		if err != nil {
-			scanErr = err
-			return false
+			return err
 		}
-		changes = append(changes, change{id: id, old: r.Clone(), new: validated})
-		return true
+		changes = append(changes, change{id: id, old: r, new: validated})
+		return nil
 	})
-	if scanErr != nil {
-		return nil, scanErr
+	if err != nil {
+		return nil, err
 	}
 	for _, c := range changes {
 		if err := t.Replace(c.id, c.new); err != nil {
 			return nil, err
 		}
 		// UPDATE = Δ⁻(old) then Δ⁺(new), the decomposition the invalidator
-		// expects (§4.2.1).
+		// expects (§4.2.1). Replace swapped the stored row for c.new, so the
+		// old image is the record's alone.
 		db.logAndFire(UpdateRecord{Table: schema.Table, Op: OpDelete, Columns: schema.ColumnNames(), Row: c.old})
 		db.logAndFire(UpdateRecord{Table: schema.Table, Op: OpInsert, Columns: schema.ColumnNames(), Row: c.new.Clone()})
 	}

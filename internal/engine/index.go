@@ -8,7 +8,8 @@ import (
 
 // Auto-indexing gives the WHERE shapes the invalidator's prepared poll
 // plans take — the same first-conjunct `col op $k` forms internal/predindex
-// detects — an index to probe instead of a table scan. When enabled
+// detects — an index to probe instead of a table scan, and gives UPDATE and
+// DELETE templates of the same shape the same. When enabled
 // (SetAutoIndex), the first execution of each interned query template
 // analyzes its WHERE conjuncts: an equality against a constant side gets a
 // hash index on the column, a range comparison gets an ordered index. The
@@ -22,10 +23,19 @@ type IndexStats struct {
 	// AutoHash / AutoOrdered count indexes created by template analysis.
 	AutoHash    int64
 	AutoOrdered int64
-	// HashProbes / RangeProbes count join levels answered by an index
-	// probe instead of a scan (including the primary-key hash index).
+	// HashProbes / RangeProbes count index probes that answered in place of
+	// a scan (including the primary-key hash index): one per SELECT join
+	// level per outer row, one per probed UPDATE or DELETE.
 	HashProbes  int64
 	RangeProbes int64
+	// WriteProbes / WriteScans count UPDATE and DELETE statements by how
+	// they found their rows: through an index probe, or by evaluating the
+	// WHERE on every row of the table. WriteRowsExamined is the number of
+	// rows those statements evaluated their WHERE on; a write path that
+	// scales with rows changed keeps it near the rows affected.
+	WriteProbes       int64
+	WriteScans        int64
+	WriteRowsExamined int64
 }
 
 // SetAutoIndex enables or disables automatic index creation from query
@@ -44,6 +54,10 @@ func (db *Database) IndexStats() IndexStats {
 		AutoOrdered: db.autoOrdered.Load(),
 		HashProbes:  db.hashProbes.Load(),
 		RangeProbes: db.rangeProbes.Load(),
+
+		WriteProbes:       db.writeProbes.Load(),
+		WriteScans:        db.writeScans.Load(),
+		WriteRowsExamined: db.writeRowsExamined.Load(),
 	}
 }
 
@@ -67,23 +81,29 @@ type autoShape struct {
 	eq     bool // true: hash index; false: ordered index
 }
 
-// ensureAutoIndexes analyzes a SELECT template's pushed-down conjuncts and
-// creates any missing indexes for the shapes the probe planner recognizes.
+// ensureAutoIndexes analyzes a template's conjuncts — a SELECT's pushed-down
+// WHERE and inner-join ON, an UPDATE's or DELETE's WHERE — and creates any
+// missing indexes for the shapes the access-path chooser recognizes.
 func (db *Database) ensureAutoIndexes(stmt sqlparser.Stmt) {
-	s, ok := stmt.(*sqlparser.SelectStmt)
-	if !ok {
-		return
-	}
-	conj := sqlparser.Conjuncts(s.Where)
-	for _, j := range s.Joins {
-		if j.Type == "INNER" && j.On != nil {
-			conj = append(conj, sqlparser.Conjuncts(j.On)...)
+	var conj []sqlparser.Expr
+	var refs []sqlparser.TableRef
+	switch s := stmt.(type) {
+	case *sqlparser.SelectStmt:
+		conj = sqlparser.Conjuncts(s.Where)
+		for _, j := range s.Joins {
+			if j.Type == "INNER" && j.On != nil {
+				conj = append(conj, sqlparser.Conjuncts(j.On)...)
+			}
 		}
+		refs = s.Tables()
+	case *sqlparser.UpdateStmt:
+		conj, refs = sqlparser.Conjuncts(s.Where), []sqlparser.TableRef{{Name: s.Table}}
+	case *sqlparser.DeleteStmt:
+		conj, refs = sqlparser.Conjuncts(s.Where), []sqlparser.TableRef{{Name: s.Table}}
 	}
 	if len(conj) == 0 {
 		return
 	}
-	refs := s.Tables()
 
 	db.mu.RLock()
 	shapes := db.autoIndexShapes(conj, refs)
@@ -126,7 +146,7 @@ func (db *Database) ensureAutoIndexes(stmt sqlparser.Stmt) {
 
 // autoIndexShapes extracts, per FROM table, the first conjunct of the form
 // `col op <column-free expr>` (either operand order) — the shape both the
-// probe planner in select.go and predindex's poll-plan analysis key on.
+// access-path chooser (access.go) and predindex's poll-plan analysis key on.
 // Callers hold db.mu (read).
 func (db *Database) autoIndexShapes(conj []sqlparser.Expr, refs []sqlparser.TableRef) []autoShape {
 	var shapes []autoShape

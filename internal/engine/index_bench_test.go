@@ -65,3 +65,73 @@ func BenchmarkHighFanoutPoll(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkWriteByKey measures what one keyed write costs as the table grows:
+// the update stream's two shapes, prepared once and executed by primary key.
+// "delete+insert" removes a row and puts it back (two statements per op);
+// "update" changes a column no index covers. Both find their row through the
+// primary-key hash index, so ns/op and allocs/op must be flat in table size:
+// the engine's write lock is held for the whole statement, and every reader
+// queues behind it.
+func BenchmarkWriteByKey(b *testing.B) {
+	sizes := []int{10_000, 100_000}
+	if testing.Short() {
+		sizes = []int{1_000, 10_000}
+	}
+	for _, rows := range sizes {
+		setup := func(b *testing.B) *Database {
+			db := NewDatabase()
+			if _, err := db.ExecScript("CREATE TABLE item (id INT PRIMARY KEY, cat INT, ver INT, val TEXT); CREATE INDEX item_cat ON item (cat)"); err != nil {
+				b.Fatal(err)
+			}
+			t := db.Table("item")
+			for i := 0; i < rows; i++ {
+				if _, err := t.Insert(mem.Row{mem.Int(int64(i)), mem.Int(int64(i % 500)), mem.Int(0), mem.Str("v")}); err != nil {
+					b.Fatal(err)
+				}
+			}
+			return db
+		}
+		prepare := func(b *testing.B, db *Database, sql string) *PreparedStmt {
+			st, err := db.Prepare(sql)
+			if err != nil {
+				b.Fatal(err)
+			}
+			return st
+		}
+		exec := func(b *testing.B, st *PreparedStmt, args ...mem.Value) {
+			res, err := st.Exec(args)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if res.RowsAffected != 1 {
+				b.Fatalf("affected %d rows, want 1", res.RowsAffected)
+			}
+		}
+		// A stride coprime with both sizes walks every key before repeating.
+		key := func(i int) int64 { return int64(i*7919) % int64(rows) }
+
+		b.Run(fmt.Sprintf("op=delete+insert/rows=%d", rows), func(b *testing.B) {
+			db := setup(b)
+			del := prepare(b, db, "DELETE FROM item WHERE id = $1")
+			ins := prepare(b, db, "INSERT INTO item VALUES ($1, $2, $3, 'v')")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				id := key(i)
+				exec(b, del, mem.Int(id))
+				exec(b, ins, mem.Int(id), mem.Int(id%500), mem.Int(int64(i)))
+			}
+		})
+		b.Run(fmt.Sprintf("op=update/rows=%d", rows), func(b *testing.B) {
+			db := setup(b)
+			// Arguments bind in order of appearance: SET before WHERE.
+			upd := prepare(b, db, "UPDATE item SET ver = $1 WHERE id = $2")
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				exec(b, upd, mem.Int(int64(i)), mem.Int(key(i)))
+			}
+		})
+	}
+}

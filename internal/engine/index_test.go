@@ -50,6 +50,50 @@ func TestAutoIndexCreatesFromTemplates(t *testing.T) {
 	}
 }
 
+// TestAutoIndexCoversWriteTemplates: UPDATE and DELETE templates get the
+// index their first conjunct asks for, once per template, and then find
+// their rows by probing it.
+func TestAutoIndexCoversWriteTemplates(t *testing.T) {
+	db := NewDatabase()
+	db.SetAutoIndex(true)
+	if _, err := db.ExecScript(`
+		CREATE TABLE item (id INT PRIMARY KEY, cat TEXT, price FLOAT);
+		INSERT INTO item VALUES (1, 'a', 10), (2, 'b', 20), (3, 'a', 30), (4, 'c', 40);
+	`); err != nil {
+		t.Fatal(err)
+	}
+	for i, cat := range []string{"a", "b"} {
+		res, err := db.ExecSQL(fmt.Sprintf("DELETE FROM item WHERE cat = '%s'", cat))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if res.RowsAffected != 2-i {
+			t.Fatalf("DELETE cat = %s affected %d rows", cat, res.RowsAffected)
+		}
+	}
+	if !db.Table("item").HasIndex("cat") {
+		t.Fatal("DELETE template did not create a hash index on cat")
+	}
+	if _, err := db.ExecSQL("UPDATE item SET cat = 'z' WHERE 35 < price"); err != nil {
+		t.Fatal(err)
+	}
+	if !db.Table("item").HasOrderedIndex("price") {
+		t.Fatal("UPDATE template did not create an ordered index on price")
+	}
+	st := db.IndexStats()
+	want := IndexStats{AutoHash: 1, AutoOrdered: 1, HashProbes: 2, RangeProbes: 1, WriteProbes: 3, WriteRowsExamined: 4}
+	if st != want {
+		t.Fatalf("IndexStats = %+v, want %+v", st, want)
+	}
+	// A WHERE no index can answer is a write scan over every row.
+	if _, err := db.ExecSQL("DELETE FROM item WHERE id % 2 = 7"); err != nil {
+		t.Fatal(err)
+	}
+	if st := db.IndexStats(); st.WriteScans != 1 || st.WriteRowsExamined != 5 {
+		t.Fatalf("after a scanning DELETE: %+v", st)
+	}
+}
+
 func TestAutoIndexOffByDefault(t *testing.T) {
 	db := NewDatabase()
 	if _, err := db.ExecScript(`

@@ -139,6 +139,10 @@ func TestQuickUpdateLogReplay(t *testing.T) {
 	for seed := int64(0); seed < 10; seed++ {
 		rng := rand.New(rand.NewSource(1300 + seed))
 		db := NewDatabase()
+		// The DELETE template below gets its hash index on a from template
+		// analysis, so the log under replay is written by probing deletes;
+		// the replay database has no index and scans.
+		db.SetAutoIndex(true)
 		if _, err := db.ExecScript("CREATE TABLE t (a INT, b TEXT)"); err != nil {
 			t.Fatal(err)
 		}
@@ -154,6 +158,9 @@ func TestQuickUpdateLogReplay(t *testing.T) {
 		recs, truncated := db.Log().Since(mark)
 		if truncated {
 			t.Fatal("log truncated unexpectedly")
+		}
+		if st := db.IndexStats(); st.AutoHash != 1 || st.WriteProbes == 0 || st.WriteScans != 0 {
+			t.Fatalf("seed %d: DELETE FROM t WHERE a = … did not run as index probes: %+v", seed, st)
 		}
 
 		// Replay into a fresh database as raw row operations.

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"math"
 	"sort"
 	"strings"
 
@@ -48,15 +47,11 @@ func (db *Database) execSelect(s *sqlparser.SelectStmt) (*Result, error) {
 	if len(sources) == 0 {
 		tuples := []Env{{}}
 		if s.Where != nil {
-			v, err := Eval(s.Where, Env{})
+			ok, err := isTrue(s.Where, Env{})
 			if err != nil {
 				return nil, err
 			}
-			tr, err := Truth(v)
-			if err != nil {
-				return nil, err
-			}
-			if tr != True {
+			if !ok {
 				tuples = nil
 			}
 		}
@@ -122,120 +117,16 @@ func (db *Database) execSelect(s *sqlparser.SelectStmt) (*Result, error) {
 		predsAt[lvl] = append(predsAt[lvl], e)
 	}
 
-	// eqLookup finds "col = expr" predicates usable as a hash-index probe
-	// at the given level: the column belongs to sources[lvl] and is indexed,
-	// and the other side references only earlier levels.
-	type probe struct {
-		column string
-		expr   sqlparser.Expr
-	}
-	findProbe := func(lvl int) *probe {
-		src := sources[lvl]
-		selfEnv := Env{}.Bind(src.ref.EffectiveName(), src.table.Schema, nil)
-		earlierOnly := func(e sqlparser.Expr) bool {
-			for _, c := range sqlparser.ColumnsReferenced(e) {
-				resolvedEarlier := false
-				for i := 0; i < lvl; i++ {
-					env := Env{}.Bind(sources[i].ref.EffectiveName(), sources[i].table.Schema, nil)
-					if env.HasColumn(c) {
-						resolvedEarlier = true
-						break
-					}
-				}
-				if !resolvedEarlier {
-					return false
-				}
-			}
-			return true
+	// One access plan per level, made before enumeration: which conjunct, if
+	// any, an index can answer given the levels bound before it (access.go).
+	// LEFT JOIN levels always scan, their ON being evaluated per row.
+	plans := make([]*accessPlan, len(sources))
+	outer := Env{}
+	for lvl, src := range sources {
+		if src.joinType != "LEFT" {
+			plans[lvl] = planAccess(predsAt[lvl], src.table, src.ref.EffectiveName(), outer)
 		}
-		for _, e := range predsAt[lvl] {
-			b, ok := stripParens(e).(*sqlparser.BinaryExpr)
-			if !ok || b.Op != sqlparser.OpEq {
-				continue
-			}
-			for _, side := range [2]struct{ col, other sqlparser.Expr }{
-				{b.Left, b.Right}, {b.Right, b.Left},
-			} {
-				c, ok := stripParens(side.col).(*sqlparser.ColumnRef)
-				if !ok || !selfEnv.HasColumn(c) {
-					continue
-				}
-				// Qualified refs must name this source; unqualified must not
-				// also resolve earlier (ambiguity).
-				if c.Table != "" && strings.ToLower(c.Table) != strings.ToLower(src.ref.EffectiveName()) {
-					continue
-				}
-				if !src.table.HasIndex(c.Column) {
-					continue
-				}
-				if earlierOnly(side.other) {
-					return &probe{column: c.Column, expr: side.other}
-				}
-			}
-		}
-		return nil
-	}
-
-	// findRangeProbe finds "col < expr" (and <=, >, >=, in either operand
-	// order) predicates usable as an ordered-index range probe at the given
-	// level, under the same resolvability rules as findProbe. The returned
-	// op is normalized to "col op expr".
-	type rangeProbe struct {
-		column string
-		expr   sqlparser.Expr
-		op     sqlparser.BinaryOp
-	}
-	findRangeProbe := func(lvl int) *rangeProbe {
-		src := sources[lvl]
-		selfEnv := Env{}.Bind(src.ref.EffectiveName(), src.table.Schema, nil)
-		earlierOnly := func(e sqlparser.Expr) bool {
-			for _, c := range sqlparser.ColumnsReferenced(e) {
-				resolvedEarlier := false
-				for i := 0; i < lvl; i++ {
-					env := Env{}.Bind(sources[i].ref.EffectiveName(), sources[i].table.Schema, nil)
-					if env.HasColumn(c) {
-						resolvedEarlier = true
-						break
-					}
-				}
-				if !resolvedEarlier {
-					return false
-				}
-			}
-			return true
-		}
-		for _, e := range predsAt[lvl] {
-			b, ok := stripParens(e).(*sqlparser.BinaryExpr)
-			if !ok {
-				continue
-			}
-			switch b.Op {
-			case sqlparser.OpLt, sqlparser.OpLtEq, sqlparser.OpGt, sqlparser.OpGtEq:
-			default:
-				continue
-			}
-			for _, side := range [2]struct {
-				col, other sqlparser.Expr
-				op         sqlparser.BinaryOp
-			}{
-				{b.Left, b.Right, b.Op}, {b.Right, b.Left, mirrorOp(b.Op)},
-			} {
-				c, ok := stripParens(side.col).(*sqlparser.ColumnRef)
-				if !ok || !selfEnv.HasColumn(c) {
-					continue
-				}
-				if c.Table != "" && !strings.EqualFold(c.Table, src.ref.EffectiveName()) {
-					continue
-				}
-				if !src.table.HasOrderedIndex(c.Column) {
-					continue
-				}
-				if earlierOnly(side.other) {
-					return &rangeProbe{column: c.Column, expr: side.other, op: side.op}
-				}
-			}
-		}
-		return nil
+		outer = outer.Bind(src.ref.EffectiveName(), src.table.Schema, nil)
 	}
 
 	// Recursive nested-loop join producing one Env per result tuple.
@@ -249,24 +140,6 @@ func (db *Database) execSelect(s *sqlparser.SelectStmt) (*Result, error) {
 		src := sources[lvl]
 		name := src.ref.EffectiveName()
 
-		matchRow := func(r mem.Row) (bool, Env, error) {
-			rowEnv := env.Bind(name, src.table.Schema, r)
-			for _, p := range predsAt[lvl] {
-				v, err := Eval(p, rowEnv)
-				if err != nil {
-					return false, Env{}, err
-				}
-				tr, err := Truth(v)
-				if err != nil {
-					return false, Env{}, err
-				}
-				if tr != True {
-					return false, Env{}, nil
-				}
-			}
-			return true, rowEnv, nil
-		}
-
 		if src.joinType == "LEFT" {
 			// LEFT JOIN: ON evaluated per probe row; WHERE conjuncts pinned
 			// to this level still apply after null-extension.
@@ -274,171 +147,62 @@ func (db *Database) execSelect(s *sqlparser.SelectStmt) (*Result, error) {
 			var innerErr error
 			src.table.Scan(func(_ int64, r mem.Row) bool {
 				rowEnv := env.Bind(name, src.table.Schema, r)
+				ok := true
 				if src.on != nil {
-					v, err := Eval(src.on, rowEnv)
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					tr, err := Truth(v)
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					if tr != True {
-						return true
-					}
+					ok, innerErr = isTrue(src.on, rowEnv)
 				}
-				okWhere := true
-				for _, p := range predsAt[lvl] {
-					v, err := Eval(p, rowEnv)
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					tr, err := Truth(v)
-					if err != nil {
-						innerErr = err
-						return false
-					}
-					if tr != True {
-						okWhere = false
-						break
-					}
+				if ok && innerErr == nil {
+					ok, innerErr = allTrue(predsAt[lvl], rowEnv)
 				}
-				if okWhere {
+				if ok && innerErr == nil {
 					matched = true
-					if err := enumerate(lvl+1, rowEnv); err != nil {
-						innerErr = err
-						return false
-					}
+					innerErr = enumerate(lvl+1, rowEnv)
 				}
-				return true
+				return innerErr == nil
 			})
-			if innerErr != nil {
+			if innerErr != nil || matched {
 				return innerErr
 			}
-			if !matched {
-				nulls := make(mem.Row, len(src.table.Schema.Columns))
-				rowEnv := env.Bind(name, src.table.Schema, nulls)
-				okWhere := true
-				for _, p := range predsAt[lvl] {
-					v, err := Eval(p, rowEnv)
-					if err != nil {
-						return err
-					}
-					tr, err := Truth(v)
-					if err != nil {
-						return err
-					}
-					if tr != True {
-						okWhere = false
-						break
-					}
-				}
-				if okWhere {
-					return enumerate(lvl+1, rowEnv)
-				}
+			nulls := make(mem.Row, len(src.table.Schema.Columns))
+			rowEnv := env.Bind(name, src.table.Schema, nulls)
+			ok, err := allTrue(predsAt[lvl], rowEnv)
+			if err != nil || !ok {
+				return err
 			}
-			return nil
+			return enumerate(lvl+1, rowEnv)
 		}
 
-		// The default path and the fallback for every probe that cannot
-		// answer exactly: nested-loop scan.
-		scan := func() error {
-			var innerErr error
-			src.table.Scan(func(_ int64, r mem.Row) bool {
-				match, rowEnv, err := matchRow(r)
-				if err != nil {
-					innerErr = err
-					return false
-				}
-				if match {
-					if err := enumerate(lvl+1, rowEnv); err != nil {
-						innerErr = err
-						return false
-					}
-				}
-				return true
-			})
-			return innerErr
+		visit := func(r mem.Row) error {
+			rowEnv := env.Bind(name, src.table.Schema, r)
+			ok, err := allTrue(predsAt[lvl], rowEnv)
+			if err != nil || !ok {
+				return err
+			}
+			return enumerate(lvl+1, rowEnv)
 		}
 
-		// walkIDs runs the probed row set through the residual predicates.
-		// IDs are visited ascending — insertion order, what the scan yields —
-		// on a copy: hash buckets are unsorted and shared between concurrent
-		// readers.
-		walkIDs := func(ids []int64) error {
-			ids = append([]int64(nil), ids...)
-			sort.Slice(ids, func(i, j int) bool { return ids[i] < ids[j] })
+		// Probed candidates arrive in insertion order, what the scan yields,
+		// and still run through every predicate of the level.
+		ids, probed, err := db.candidates(plans[lvl], src.table, env)
+		if err != nil {
+			return err
+		}
+		if probed {
 			for _, id := range ids {
-				r, ok := src.table.Get(id)
-				if !ok {
-					continue
-				}
-				match, rowEnv, err := matchRow(r)
-				if err != nil {
-					return err
-				}
-				if match {
-					if err := enumerate(lvl+1, rowEnv); err != nil {
+				if r, ok := src.table.Get(id); ok {
+					if err := visit(r); err != nil {
 						return err
 					}
 				}
 			}
 			return nil
 		}
-
-		// Hash-index probe when an equality predicate allows it. A probe
-		// value whose family cannot compare with the column's declared type
-		// defers to the scan, so comparison errors surface identically.
-		if pr := findProbe(lvl); pr != nil {
-			v, err := Eval(pr.expr, env)
-			if err != nil {
-				return err
-			}
-			if !probeCompatible(src.table.Schema, pr.column, v) {
-				return scan()
-			}
-			db.hashProbes.Add(1)
-			ids, _ := src.table.IndexLookup(pr.column, v)
-			return walkIDs(ids)
-		}
-
-		// Ordered-index probe for a range predicate. A NULL bound means the
-		// comparison is UNKNOWN for every row — no matches, like the scan.
-		if rp := findRangeProbe(lvl); rp != nil {
-			v, err := Eval(rp.expr, env)
-			if err != nil {
-				return err
-			}
-			if !probeCompatible(src.table.Schema, rp.column, v) {
-				return scan()
-			}
-			if v.IsNull() {
-				return nil
-			}
-			min, max := mem.Value{}, mem.Value{}
-			minIncl, maxIncl := false, false
-			switch rp.op {
-			case sqlparser.OpLt:
-				max = v
-			case sqlparser.OpLtEq:
-				max, maxIncl = v, true
-			case sqlparser.OpGt:
-				min = v
-			case sqlparser.OpGtEq:
-				min, minIncl = v, true
-			}
-			ids, ok := src.table.OrderedRange(rp.column, min, max, minIncl, maxIncl)
-			if !ok {
-				return scan()
-			}
-			db.rangeProbes.Add(1)
-			return walkIDs(ids)
-		}
-
-		return scan()
+		var scanErr error
+		src.table.Scan(func(_ int64, r mem.Row) bool {
+			scanErr = visit(r)
+			return scanErr == nil
+		})
+		return scanErr
 	}
 	if err := enumerate(0, Env{}); err != nil {
 		return nil, err
@@ -446,49 +210,26 @@ func (db *Database) execSelect(s *sqlparser.SelectStmt) (*Result, error) {
 	return db.projectRows(s, out)
 }
 
-// mirrorOp flips a comparison so the column reads on the left:
-// `expr < col` becomes `col > expr`.
-func mirrorOp(op sqlparser.BinaryOp) sqlparser.BinaryOp {
-	switch op {
-	case sqlparser.OpLt:
-		return sqlparser.OpGt
-	case sqlparser.OpLtEq:
-		return sqlparser.OpGtEq
-	case sqlparser.OpGt:
-		return sqlparser.OpLt
-	case sqlparser.OpGtEq:
-		return sqlparser.OpLtEq
+// isTrue reports whether e evaluates to TRUE — not FALSE, not UNKNOWN —
+// under env.
+func isTrue(e sqlparser.Expr, env Env) (bool, error) {
+	v, err := Eval(e, env)
+	if err != nil {
+		return false, err
 	}
-	return op
+	tr, err := Truth(v)
+	return tr == True, err
 }
 
-// probeCompatible reports whether an index probe with value v is equivalent
-// to scanning the column: v's kind family must match the column's declared
-// type (stored values are coerced to it, so same-family comparisons never
-// error). NULL probes are compatible — both paths yield no matches. A
-// mismatched family must take the scan so its comparison error surfaces.
-func probeCompatible(sc *mem.Schema, column string, v mem.Value) bool {
-	if v.IsNull() {
-		return true
+// allTrue reports whether every predicate is TRUE under env, stopping at the
+// first that is not.
+func allTrue(preds []sqlparser.Expr, env Env) (bool, error) {
+	for _, p := range preds {
+		if ok, err := isTrue(p, env); err != nil || !ok {
+			return false, err
+		}
 	}
-	ci := sc.ColumnIndex(column)
-	if ci < 0 {
-		return false
-	}
-	if v.Kind == mem.KindFloat && math.IsNaN(v.F) {
-		// mem.Compare treats NaN as equal to everything; only the scan can
-		// honor that.
-		return false
-	}
-	switch sc.Columns[ci].Type {
-	case sqlparser.TypeInt, sqlparser.TypeFloat:
-		return v.Kind == mem.KindInt || v.Kind == mem.KindFloat
-	case sqlparser.TypeString:
-		return v.Kind == mem.KindString
-	case sqlparser.TypeBool:
-		return v.Kind == mem.KindBool
-	}
-	return false
+	return true, nil
 }
 
 func stripParens(e sqlparser.Expr) sqlparser.Expr {

@@ -31,12 +31,14 @@ func (op UpdateOp) String() string {
 
 // UpdateRecord is one entry of the database update log.
 type UpdateRecord struct {
-	LSN     int64 // monotonically increasing log sequence number, from 1
-	Time    time.Time
-	Table   string // table name as created (original case)
-	Op      UpdateOp
-	Columns []string // schema column names at the time of the change
-	Row     mem.Row  // full image of the inserted/deleted row
+	LSN   int64 // monotonically increasing log sequence number, from 1
+	Time  time.Time
+	Table string // table name as created (original case)
+	Op    UpdateOp
+	// Columns are the schema column names at the time of the change. Records
+	// of one table share the slice (mem.Schema.ColumnNames): read-only.
+	Columns []string
+	Row     mem.Row // full image of the inserted/deleted row
 	// Trace/Span carry the pipeline-trace context stamped at commit time
 	// (see Database.SetTracer): Trace identifies the end-to-end trace this
 	// change opened, Span the engine.commit root span. Zero when tracing is

@@ -258,7 +258,7 @@ func TestTableDelete(t *testing.T) {
 		}
 		ids = append(ids, id)
 	}
-	removed := tab.Delete(map[int64]bool{ids[1]: true, ids[3]: true, 999: true})
+	removed := tab.Delete([]int64{ids[1], ids[3], 999})
 	if len(removed) != 2 {
 		t.Fatalf("removed: %v", removed)
 	}
@@ -426,10 +426,10 @@ func TestQuickIndexMatchesScan(t *testing.T) {
 				}
 			} else {
 				// Delete all rows with value o.val, found by scan.
-				ids := map[int64]bool{}
+				var ids []int64
 				tab.Scan(func(id int64, row Row) bool {
 					if Equal(row[0], Int(o.val)) {
-						ids[id] = true
+						ids = append(ids, id)
 					}
 					return true
 				})

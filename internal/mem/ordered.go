@@ -288,9 +288,10 @@ func (t *Table) CreateOrderedIndex(column string) error {
 		return fmt.Errorf("mem: table %s: ordered index on %s already exists", t.Schema.Table, column)
 	}
 	idx := NewOrderedIndex(ci)
-	for _, id := range t.rowIDs {
-		idx.Add(t.rows[id][ci], id)
-	}
+	t.Scan(func(id int64, r Row) bool {
+		idx.Add(r[ci], id)
+		return true
+	})
 	if t.ordered == nil {
 		t.ordered = make(map[string]*OrderedIndex)
 	}

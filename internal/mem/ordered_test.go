@@ -72,7 +72,7 @@ func TestOrderedIndexNaNFallback(t *testing.T) {
 	if _, ok := tab.OrderedRange("v", Null(), Float(2), false, false); ok {
 		t.Fatal("index answered a range with a NaN stored — mem.Compare makes NaN match <=/>= anything, so it must decline")
 	}
-	tab.Delete(map[int64]bool{nanID: true})
+	tab.Delete([]int64{nanID})
 	ids, ok := tab.OrderedRange("v", Null(), Float(2), false, false)
 	if !ok || len(ids) != 1 {
 		t.Fatalf("after NaN delete: ok=%v ids=%v", ok, ids)
@@ -117,7 +117,7 @@ func TestOrderedIndexRandomized(t *testing.T) {
 					live = append(live, id)
 				case r < 8: // delete
 					i := rng.Intn(len(live))
-					tab.Delete(map[int64]bool{live[i]: true})
+					tab.Delete([]int64{live[i]})
 					live = append(live[:i], live[i+1:]...)
 				default: // replace
 					id := live[rng.Intn(len(live))]

@@ -2,6 +2,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"strings"
 
 	"repro/internal/sqlparser"
@@ -20,6 +21,7 @@ type Column struct {
 type Schema struct {
 	Table   string
 	Columns []Column
+	names   []string // Columns[i].Name, built once
 	byName  map[string]int
 	pk      int // index of primary key column, -1 if none
 }
@@ -33,8 +35,9 @@ func NewSchema(table string, cols []Column) (*Schema, error) {
 	if len(cols) == 0 {
 		return nil, fmt.Errorf("mem: table %s has no columns", table)
 	}
-	s := &Schema{Table: table, Columns: cols, byName: make(map[string]int, len(cols)), pk: -1}
+	s := &Schema{Table: table, Columns: cols, names: make([]string, len(cols)), byName: make(map[string]int, len(cols)), pk: -1}
 	for i, c := range cols {
+		s.names[i] = c.Name
 		key := strings.ToLower(c.Name)
 		if _, dup := s.byName[key]; dup {
 			return nil, fmt.Errorf("mem: table %s: duplicate column %s", table, c.Name)
@@ -61,14 +64,9 @@ func (s *Schema) ColumnIndex(name string) int {
 // PrimaryKey returns the index of the primary key column, or -1.
 func (s *Schema) PrimaryKey() int { return s.pk }
 
-// ColumnNames returns the column names in order.
-func (s *Schema) ColumnNames() []string {
-	out := make([]string, len(s.Columns))
-	for i, c := range s.Columns {
-		out[i] = c.Name
-	}
-	return out
-}
+// ColumnNames returns the column names in order. The slice is shared by
+// every caller (each update-log record carries it): read-only.
+func (s *Schema) ColumnNames() []string { return s.names }
 
 // Row is one tuple; len(Row) == len(Schema.Columns).
 type Row []Value
@@ -95,7 +93,12 @@ func (r Row) Key() string {
 // Table is an insertion-ordered heap of rows with optional hash indexes.
 // Table methods are not synchronized; the owning Database serializes access.
 type Table struct {
-	Schema  *Schema
+	Schema *Schema
+	// rowIDs lists row IDs in insertion order, which is ascending: IDs come
+	// from nextID. A deleted row's ID stays behind as a tombstone (it is
+	// absent from rows) until tombstones outnumber live rows, when one pass
+	// drops them all; so Delete costs O(rows removed) amortized and a scan
+	// walks at most twice the live rows.
 	rowIDs  []int64
 	rows    map[int64]Row
 	indexes map[string]*HashIndex    // lower-cased column name → index
@@ -166,36 +169,40 @@ func (t *Table) Get(id int64) (Row, bool) {
 	return r, ok
 }
 
-// Delete removes the rows with the given IDs; unknown IDs are ignored.
-// It returns the rows actually removed, in insertion order.
-func (t *Table) Delete(ids map[int64]bool) []Row {
-	if len(ids) == 0 {
-		return nil
-	}
+// Delete removes the rows with the given IDs; unknown IDs are ignored. It
+// returns the rows actually removed, in the order given — insertion order
+// when ids ascend, as a scan or an index probe yields them.
+func (t *Table) Delete(ids []int64) []Row {
 	var removed []Row
-	kept := t.rowIDs[:0]
-	for _, id := range t.rowIDs {
-		if ids[id] {
-			if r, ok := t.rows[id]; ok {
-				removed = append(removed, r)
-				for _, idx := range t.indexes {
-					idx.Remove(r[idx.Col], id)
-				}
-				for _, idx := range t.ordered {
-					idx.Remove(r[idx.Col], id)
-				}
-				delete(t.rows, id)
-			}
+	for _, id := range ids {
+		r, ok := t.rows[id]
+		if !ok {
 			continue
 		}
-		kept = append(kept, id)
+		removed = append(removed, r)
+		for _, idx := range t.indexes {
+			idx.Remove(r[idx.Col], id)
+		}
+		for _, idx := range t.ordered {
+			idx.Remove(r[idx.Col], id)
+		}
+		delete(t.rows, id)
 	}
-	t.rowIDs = kept
+	if dead := len(t.rowIDs) - len(t.rows); dead > len(t.rows) {
+		kept := t.rowIDs[:0]
+		for _, id := range t.rowIDs {
+			if _, ok := t.rows[id]; ok {
+				kept = append(kept, id)
+			}
+		}
+		t.rowIDs = kept
+	}
 	return removed
 }
 
 // Replace overwrites the row with the given ID (used by UPDATE). The new
-// row must already be validated/coerced by the caller via ValidateRow.
+// row must already be validated/coerced by the caller via ValidateRow. Only
+// the indexes whose column value changed are touched.
 func (t *Table) Replace(id int64, r Row) error {
 	old, ok := t.rows[id]
 	if !ok {
@@ -210,12 +217,16 @@ func (t *Table) Replace(id int64, r Row) error {
 		}
 	}
 	for _, idx := range t.indexes {
-		idx.Remove(old[idx.Col], id)
-		idx.Add(r[idx.Col], id)
+		if !identical(old[idx.Col], r[idx.Col]) {
+			idx.Remove(old[idx.Col], id)
+			idx.Add(r[idx.Col], id)
+		}
 	}
 	for _, idx := range t.ordered {
-		idx.Remove(old[idx.Col], id)
-		idx.Add(r[idx.Col], id)
+		if !identical(old[idx.Col], r[idx.Col]) {
+			idx.Remove(old[idx.Col], id)
+			idx.Add(r[idx.Col], id)
+		}
 	}
 	t.rows[id] = r
 	return nil
@@ -257,7 +268,7 @@ func (t *Table) Scan(fn func(id int64, r Row) bool) {
 
 // Rows returns a snapshot of all rows in insertion order.
 func (t *Table) Rows() []Row {
-	out := make([]Row, 0, len(t.rowIDs))
+	out := make([]Row, 0, len(t.rows))
 	t.Scan(func(_ int64, r Row) bool {
 		out = append(out, r)
 		return true
@@ -277,15 +288,18 @@ func (t *Table) CreateIndex(column string, unique bool) error {
 		return fmt.Errorf("mem: table %s: index on %s already exists", t.Schema.Table, column)
 	}
 	idx := NewHashIndex(ci, unique)
-	for _, id := range t.rowIDs {
-		r := t.rows[id]
-		if unique {
-			if ids := idx.Lookup(r[ci]); len(ids) > 0 {
-				return fmt.Errorf("mem: table %s: existing duplicate value %s prevents unique index on %s",
-					t.Schema.Table, r[ci], column)
-			}
+	var dup error
+	t.Scan(func(id int64, r Row) bool {
+		if unique && len(idx.Lookup(r[ci])) > 0 {
+			dup = fmt.Errorf("mem: table %s: existing duplicate value %s prevents unique index on %s",
+				t.Schema.Table, r[ci], column)
+			return false
 		}
 		idx.Add(r[ci], id)
+		return true
+	})
+	if dup != nil {
+		return dup
 	}
 	t.indexes[key] = idx
 	return nil
@@ -298,10 +312,12 @@ func (t *Table) HasIndex(column string) bool {
 }
 
 // IndexLookup returns the IDs of rows whose indexed column equals v, or
-// (nil, false) when the column is not indexed.
+// (nil, false) when the index cannot answer as a scan would: the column is
+// not indexed, or it holds a NaN, which mem.Compare finds equal to every
+// number and no hash bucket can.
 func (t *Table) IndexLookup(column string, v Value) ([]int64, bool) {
 	idx, ok := t.indexes[strings.ToLower(column)]
-	if !ok {
+	if !ok || idx.nan > 0 {
 		return nil, false
 	}
 	return idx.Lookup(v), true
@@ -312,7 +328,10 @@ type HashIndex struct {
 	Col    int // column position in the schema
 	Unique bool
 	m      map[string][]int64
+	nan    int // NaN values currently stored in the column
 }
+
+func isNaN(v Value) bool { return v.Kind == KindFloat && math.IsNaN(v.F) }
 
 // NewHashIndex creates an empty index over column position col.
 func NewHashIndex(col int, unique bool) *HashIndex {
@@ -324,6 +343,9 @@ func NewHashIndex(col int, unique bool) *HashIndex {
 func (x *HashIndex) Add(v Value, id int64) {
 	if v.IsNull() {
 		return
+	}
+	if isNaN(v) {
+		x.nan++
 	}
 	k := v.Key()
 	x.m[k] = append(x.m[k], id)
@@ -340,6 +362,9 @@ func (x *HashIndex) Remove(v Value, id int64) {
 		if got == id {
 			ids[i] = ids[len(ids)-1]
 			ids = ids[:len(ids)-1]
+			if isNaN(v) {
+				x.nan--
+			}
 			break
 		}
 	}

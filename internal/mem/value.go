@@ -7,6 +7,7 @@ package mem
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 
@@ -241,6 +242,15 @@ func Equal(a, b Value) bool {
 	}
 	c, err := Compare(a, b)
 	return err == nil && c == 0
+}
+
+// identical reports whether a and b are the same value down to the bits, so
+// an index entry for one is an entry for the other. It is stricter than
+// Equal and than ==: NULL is identical to NULL and a NaN to itself, 0.0 is
+// not identical to -0.0 (their Keys differ).
+func identical(a, b Value) bool {
+	return a.Kind == b.Kind && a.I == b.I && a.S == b.S && a.B == b.B &&
+		math.Float64bits(a.F) == math.Float64bits(b.F)
 }
 
 // CoerceTo converts v to column type t where a lossless or conventional

@@ -346,9 +346,10 @@ func (s *Server) Conns() int {
 }
 
 // Instrument registers the server's counters with reg under "<prefix>.":
-// queries served, open connections, and the update log's next LSN (its
-// growth rate is the site's write throughput). Pull-style gauges — the
-// query path is untouched.
+// queries served, open connections, the update log's next LSN (its growth
+// rate is the site's write throughput), and the engine's statement-cache and
+// access-path counters (a growing write_scans is an UPDATE or DELETE shape
+// with no index to probe). Pull-style gauges — the query path is untouched.
 func (s *Server) Instrument(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".queries_total", s.Queries)
 	reg.GaugeFunc(prefix+".prepares_total", s.Prepares)
@@ -362,6 +363,11 @@ func (s *Server) Instrument(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".stmt_text_hits", func() int64 { return s.DB.StmtCacheStats().TextHits })
 	reg.GaugeFunc(prefix+".stmt_template_hits", func() int64 { return s.DB.StmtCacheStats().TemplateHits })
 	reg.GaugeFunc(prefix+".stmt_template_misses", func() int64 { return s.DB.StmtCacheStats().TemplateMisses })
+	reg.GaugeFunc(prefix+".index_hash_probes", func() int64 { return s.DB.IndexStats().HashProbes })
+	reg.GaugeFunc(prefix+".index_range_probes", func() int64 { return s.DB.IndexStats().RangeProbes })
+	reg.GaugeFunc(prefix+".write_probes", func() int64 { return s.DB.IndexStats().WriteProbes })
+	reg.GaugeFunc(prefix+".write_scans", func() int64 { return s.DB.IndexStats().WriteScans })
+	reg.GaugeFunc(prefix+".write_rows_examined", func() int64 { return s.DB.IndexStats().WriteRowsExamined })
 }
 
 // Close stops accepting, closes every live connection, and waits for

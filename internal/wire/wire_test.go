@@ -7,6 +7,7 @@ import (
 
 	"repro/internal/engine"
 	"repro/internal/mem"
+	"repro/internal/obs"
 )
 
 func startServer(t *testing.T) (*Server, string) {
@@ -152,6 +153,37 @@ func TestServerQueriesCounter(t *testing.T) {
 	c.Query("SELECT 1")
 	if got := s.Queries() - before; got != 2 {
 		t.Fatalf("queries: %d", got)
+	}
+}
+
+// TestInstrumentExportsAccessPathCounters: a write that probes an index and
+// one that scans both show on the registry, next to the read-side probes.
+func TestInstrumentExportsAccessPathCounters(t *testing.T) {
+	s, addr := startServer(t)
+	reg := obs.NewRegistry()
+	s.Instrument(reg, "dbserver")
+	c, _ := Dial(addr)
+	defer c.Close()
+	for _, sql := range []string{
+		"SELECT v FROM kv WHERE k = 'a'",
+		"UPDATE kv SET v = 3 WHERE k = 'a'",
+		"DELETE FROM kv WHERE v > 100",
+	} {
+		if _, err := c.Query(sql); err != nil {
+			t.Fatalf("%s: %v", sql, err)
+		}
+	}
+	got := reg.Snapshot().Gauges
+	for name, want := range map[string]int64{
+		"dbserver.index_hash_probes":   2,
+		"dbserver.index_range_probes":  0,
+		"dbserver.write_probes":        1,
+		"dbserver.write_scans":         1,
+		"dbserver.write_rows_examined": 3,
+	} {
+		if v, ok := got[name]; !ok || v != want {
+			t.Errorf("%s = %d (registered %v), want %d", name, v, ok, want)
+		}
 	}
 }
 
