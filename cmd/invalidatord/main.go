@@ -46,7 +46,6 @@ func main() {
 	httpTimeout := flag.Duration("http-timeout", 0, "request timeout for log fetch and ejects (0 = default 10s)")
 	feed := flag.Bool("feed", false, "event-driven mode: subscribe to the update-log stream and long-poll the app-server logs; -interval becomes the fallback cadence")
 	feedBuffer := flag.Int("feed-buffer", 0, "update-log stream buffer in records (0 = default)")
-	minEventGap := flag.Duration("min-event-gap", 0, "burst-coalescing window for event-driven cycles (0 = default)")
 	predIdx := flag.Bool("pred-index", true, "probe the predicate index for candidate query instances instead of scanning the registry (same invalidations either way)")
 	fragments := flag.Bool("fragments", false, "annotate cycle logs with the fragment-vs-page eject split (the eject machinery itself is key-agnostic; pair with -fragments on webcached and appserver)")
 	peers := flag.String("peers", "", "cache cluster membership as 'id=url,id=url'; ejects are routed to each key's shard owners instead of every cache (empty = fan out to -cache)")
@@ -223,12 +222,13 @@ func main() {
 		go mirror.Run(stop)
 	}
 	// One shared cadence loop for both modes (invalidator.RunLoop): pure
-	// interval ticking by default; with -feed a cycle also runs as soon as
-	// the stream signals new update records, bursts coalesced within
-	// -min-event-gap and the interval timer kept as fallback. Consecutive
-	// failures (log fetch or cycle) stretch the cadence with capped
-	// exponential backoff instead of hammering a dead dependency; one clean
-	// cycle restores the configured interval.
+	// interval ticking by default; with -feed a cycle also runs the moment
+	// the stream signals new update records — whatever commits during a
+	// cycle (or its mirror.Sync round trip) batches into the next one — with
+	// the interval timer kept as fallback. Consecutive failures (log fetch or
+	// cycle) stretch the cadence with capped exponential backoff instead of
+	// hammering a dead dependency; one clean cycle restores the configured
+	// interval.
 	cycle := func() error {
 		if _, err := mirror.Sync(); err != nil {
 			log.Printf("invalidatord: log fetch: %v", err)
@@ -251,20 +251,7 @@ func main() {
 		}
 		return nil
 	}
-	gap := *minEventGap
-	if gap <= 0 {
-		gap = invalidator.DefaultMinEventGap
-	}
-	var onBurst func(int)
-	if notifier != nil {
-		eventCycles := reg.Counter("invalidator.event_cycles_total")
-		burstWakes := reg.Histogram("invalidator.event_burst_wakes")
-		onBurst = func(wakes int) {
-			eventCycles.Inc()
-			burstWakes.Observe(float64(wakes))
-		}
-	}
-	go invalidator.RunLoop(*interval, gap, notifier, stop, cycle, onBurst)
+	go inv.Run(*interval, notifier, stop, cycle)
 
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, syscall.SIGINT, syscall.SIGTERM)

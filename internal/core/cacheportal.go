@@ -69,9 +69,6 @@ type Options struct {
 	// uses the Puller if it also implements invalidator.LogNotifier
 	// (invalidator.EngineLogPuller and *wire.LogFeed both do).
 	Notifier invalidator.LogNotifier
-	// MinEventGap is the burst-coalescing window of event-driven cycles
-	// (invalidator.DefaultMinEventGap when 0).
-	MinEventGap time.Duration
 	// UseFeeds switches the sniffer's mapper from re-polling the request and
 	// query logs to feed subscriptions.
 	UseFeeds bool
@@ -96,7 +93,6 @@ type Portal struct {
 
 	interval time.Duration
 	notifier invalidator.LogNotifier
-	minGap   time.Duration
 
 	// cycleMu serializes invalidation cycles: the background loop and
 	// synchronous Cycle callers may overlap, and the invalidator's cycle
@@ -139,10 +135,6 @@ func New(opts Options) (*Portal, error) {
 			notifier = n
 		}
 	}
-	minGap := opts.MinEventGap
-	if minGap <= 0 {
-		minGap = invalidator.DefaultMinEventGap
-	}
 	m := sniffer.NewQIURLMap()
 	mp := sniffer.NewMapper(opts.RequestLog, opts.QueryLog, m)
 	mp.Mode = opts.MapperMode
@@ -183,7 +175,7 @@ func New(opts Options) (*Portal, error) {
 	}
 	return &Portal{
 		Map: m, Mapper: mp, Invalidator: inv, Obs: opts.Obs,
-		interval: opts.Interval, notifier: notifier, minGap: minGap,
+		interval: opts.Interval, notifier: notifier,
 	}, nil
 }
 
@@ -225,12 +217,12 @@ func (p *Portal) Cycle() (invalidator.Report, error) {
 
 // Start launches the background loop. Calling Start twice is an error.
 // The cadence is invalidator.RunLoop: pure interval ticking by default, and
-// with Options.EventDriven a cycle also runs as soon as the notifier signals
-// new log records (bursts coalesced within MinEventGap, the interval timer
-// kept as fallback). Either way, consecutive cycle errors stretch the
-// cadence with capped exponential backoff (invalidator.NextCycleDelay)
-// instead of silently ticking against a failing dependency; one success
-// restores the configured interval.
+// with Options.EventDriven a cycle also runs the moment the notifier signals
+// new log records (records that commit during a cycle batch into the next
+// one; the interval timer is kept as fallback). Either way, consecutive cycle
+// errors stretch the cadence with capped exponential backoff
+// (invalidator.NextCycleDelay) instead of silently ticking against a failing
+// dependency; one success restores the configured interval.
 func (p *Portal) Start() error {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -239,21 +231,12 @@ func (p *Portal) Start() error {
 	}
 	p.stopCh = make(chan struct{})
 	p.stopped = make(chan struct{})
-	var onBurst func(int)
-	if p.notifier != nil {
-		eventCycles := p.Obs.Counter("invalidator.event_cycles_total")
-		burstWakes := p.Obs.Histogram("invalidator.event_burst_wakes")
-		onBurst = func(wakes int) {
-			eventCycles.Inc()
-			burstWakes.Observe(float64(wakes))
-		}
-	}
 	go func(stop <-chan struct{}, done chan<- struct{}) {
 		defer close(done)
-		invalidator.RunLoop(p.interval, p.minGap, p.notifier, stop, func() error {
+		p.Invalidator.Run(p.interval, p.notifier, stop, func() error {
 			_, err := p.Cycle()
 			return err
-		}, onBurst)
+		})
 	}(p.stopCh, p.stopped)
 	return nil
 }

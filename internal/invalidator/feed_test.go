@@ -5,7 +5,6 @@ import (
 	"net"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"testing"
 	"time"
 
@@ -96,7 +95,7 @@ func runFeedWorkload(t *testing.T, workers int, eventDriven bool) []string {
 
 	stop := make(chan struct{})
 	defer close(stop)
-	inv.StartEventDriven(time.Hour, 2*time.Millisecond, EngineLogPuller{Log: db.Log()}, stop)
+	inv.StartEventDriven(time.Hour, EngineLogPuller{Log: db.Log()}, stop)
 	for _, w := range writes {
 		if _, err := db.ExecSQL(w); err != nil {
 			t.Fatal(err)
@@ -146,98 +145,6 @@ func equalStrings(a, b []string) bool {
 		}
 	}
 	return true
-}
-
-// chanNotifier is a hand-cranked LogNotifier with the close-and-replace
-// broadcast semantics of the real logs.
-type chanNotifier struct {
-	mu sync.Mutex
-	ch chan struct{}
-}
-
-func newChanNotifier() *chanNotifier {
-	return &chanNotifier{ch: make(chan struct{})}
-}
-
-func (n *chanNotifier) Changed() <-chan struct{} {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.ch
-}
-
-func (n *chanNotifier) Fire() {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	close(n.ch)
-	n.ch = make(chan struct{})
-}
-
-// TestRunLoopTimerFallback pins the degradation path: with a notifier that
-// never fires (an old server, a feed in fallback), the interval timer alone
-// keeps cycles coming.
-func TestRunLoopTimerFallback(t *testing.T) {
-	var cycles atomic.Int64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		RunLoop(5*time.Millisecond, 50*time.Millisecond, newChanNotifier(), stop,
-			func() error { cycles.Add(1); return nil }, nil)
-	}()
-	deadline := time.Now().Add(10 * time.Second)
-	for cycles.Load() < 3 {
-		if time.Now().After(deadline) {
-			t.Fatal("timer fallback never cycled")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	close(stop)
-	<-done
-}
-
-// TestRunLoopCoalescesBurst: a burst of wakeups within the min-gap window
-// must cost one cycle, with the burst size observed.
-func TestRunLoopCoalescesBurst(t *testing.T) {
-	n := newChanNotifier()
-	var cycles atomic.Int64
-	var wakes atomic.Int64
-	stop := make(chan struct{})
-	done := make(chan struct{})
-	go func() {
-		defer close(done)
-		RunLoop(time.Hour, 100*time.Millisecond, n, stop,
-			func() error { cycles.Add(1); return nil },
-			func(w int) { wakes.Store(int64(w)) })
-	}()
-	// Wait for the catch-up cycle: from then on the loop holds a
-	// notification channel, so no fire below can be missed.
-	deadline := time.Now().Add(10 * time.Second)
-	for cycles.Load() == 0 {
-		if time.Now().After(deadline) {
-			t.Fatal("catch-up cycle never ran")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	for i := 0; i < 5; i++ {
-		n.Fire()
-		time.Sleep(2 * time.Millisecond)
-	}
-	// Exactly one more cycle for the whole burst.
-	for cycles.Load() < 2 {
-		if time.Now().After(deadline) {
-			t.Fatal("event never triggered a cycle")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	time.Sleep(300 * time.Millisecond) // past the coalescing window
-	if c := cycles.Load(); c != 2 {
-		t.Fatalf("burst of 5 wakeups cost %d cycles, want 2 (catch-up + burst)", c)
-	}
-	if w := wakes.Load(); w < 1 {
-		t.Fatalf("onBurst observed %d wakes", w)
-	}
-	close(stop)
-	<-done
 }
 
 // TestWireTruncationFlushExactlyOnce is the satellite regression: a server

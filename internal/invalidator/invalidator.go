@@ -303,53 +303,54 @@ func NextCycleDelay(interval time.Duration, failures int) time.Duration {
 	return backoff.Delay(interval, failures, maxCycleBackoffFactor*interval)
 }
 
-// DefaultMinEventGap is the burst-coalescing window of event-driven cycle
-// loops when none is configured: after the first wakeup a cycle waits this
-// long, folding further wakeups into the same cycle, so a write burst costs
-// one analysis pass instead of one per commit.
-const DefaultMinEventGap = 10 * time.Millisecond
+// EventStalenessBound is the commit-to-eject staleness an event-driven
+// deployment advertises to the application server's §4.1.3 temporal-
+// sensitivity check (appserver.MinSensitivity): a servlet that tolerates
+// less than this is not cached. It is a promise, not a delay — nothing in the
+// loop waits for it; an idle site ejects in well under a millisecond.
+const EventStalenessBound = 10 * time.Millisecond
 
 // RunLoop is the shared cycle-cadence loop: run cycle every interval, and —
-// when notifier is non-nil — also as soon as the notifier signals new log
-// records, after a minGap coalescing window that folds a burst of wakeups
-// into one cycle. The interval timer is always retained as a fallback (it is
-// what keeps a feed that degraded to polling fresh), and consecutive cycle
-// errors stretch the cadence through NextCycleDelay exactly as the pure timer
-// loop does, so every deployment — in-process, portal, invalidatord — degrades
-// the same way. onBurst, when non-nil, observes how many wakeups each
-// event-triggered cycle coalesced. RunLoop blocks until stop closes.
+// when notifier is non-nil — also the moment the notifier signals new log
+// records. The loop is self-clocked: there is no coalescing window. Each
+// iteration obtains the notification channel BEFORE running the cycle and
+// only then waits on it, so a record that commits while a cycle is in flight
+// closes the already-obtained channel and the next cycle starts as soon as
+// this one returns, carrying everything that arrived meanwhile in one batch.
+// Batch size therefore grows with load the way group commit does: an idle
+// site runs one cycle per record, a saturated invalidator one cycle per
+// cycle-time. The first iteration is a catch-up cycle for the same
+// no-missed-wakeup reason — appends from before the loop existed closed only
+// channels nobody held. Without a notifier the loop is the pure timer: first
+// cycle one interval in.
 //
-// With a notifier, each iteration obtains the notification channel BEFORE
-// running the cycle and only then waits on it: a record that arrives while a
-// cycle is in flight closes the already-obtained channel, so the loop wakes
-// immediately instead of stalling until the fallback timer (the same
-// no-missed-wakeup discipline as the feed pump). The first iteration is a
-// catch-up cycle for the same reason — appends from before the loop existed
-// closed only channels nobody held. Without a notifier the loop is the
-// original pure timer: first cycle one interval in.
-func RunLoop(interval, minGap time.Duration, notifier LogNotifier, stop <-chan struct{}, cycle func() error, onBurst func(wakes int)) {
-	failures := 0
+// The interval timer is always retained as a fallback (it is what keeps a
+// feed that degraded to polling fresh). Consecutive cycle errors stretch the
+// cadence through NextCycleDelay, and while the loop is backing off it ignores
+// the notifier — a dead dependency under steady updates is retried on the
+// backoff schedule, not once per commit; the first successful cycle restores
+// immediate firing. Every deployment — in-process, portal, invalidatord —
+// degrades the same way. onEvent, when non-nil, is called for each wake-up
+// the notifier (not the timer) caused. RunLoop blocks until stop closes.
+func RunLoop(interval time.Duration, notifier LogNotifier, stop <-chan struct{}, cycle func() error, onEvent func()) {
 	timer := time.NewTimer(interval)
 	defer timer.Stop()
 	if notifier == nil {
-		for {
-			select {
-			case <-stop:
-				return
-			case <-timer.C:
-				if err := cycle(); err != nil {
-					failures++
-				} else {
-					failures = 0
-				}
-				timer.Reset(NextCycleDelay(interval, failures))
-			}
+		select {
+		case <-stop:
+			return
+		case <-timer.C:
 		}
 	}
+	failures := 0
 	for {
-		changed := notifier.Changed()
+		var changed <-chan struct{} // nil never fires: pure timer, or backing off
+		if notifier != nil {
+			changed = notifier.Changed()
+		}
 		if err := cycle(); err != nil {
 			failures++
+			changed = nil
 		} else {
 			failures = 0
 		}
@@ -363,29 +364,26 @@ func RunLoop(interval, minGap time.Duration, notifier LogNotifier, stop <-chan s
 		select {
 		case <-stop:
 			return
+		default:
+		}
+		select {
+		case <-stop:
+			return
 		case <-timer.C:
 		case <-changed:
-			wakes := 1
-			if minGap > 0 {
-				guard := time.NewTimer(minGap)
-			coalesce:
-				for {
-					select {
-					case <-stop:
-						guard.Stop()
-						return
-					case <-notifier.Changed():
-						wakes++
-					case <-guard.C:
-						break coalesce
-					}
-				}
-			}
-			if onBurst != nil {
-				onBurst(wakes)
+			if onEvent != nil {
+				onEvent()
 			}
 		}
 	}
+}
+
+// Run drives cycle on the RunLoop cadence until stop closes, counting
+// event-triggered cycles in invalidator.event_cycles_total. cycle is the
+// deployment's wrapper around inv.Cycle (the portal serializes it against
+// synchronous callers, invalidatord syncs its log mirror first).
+func (inv *Invalidator) Run(interval time.Duration, notifier LogNotifier, stop <-chan struct{}, cycle func() error) {
+	RunLoop(interval, notifier, stop, cycle, inv.met.eventCycles.Inc)
 }
 
 // Start runs Cycle every interval until stop closes. Consecutive cycle
@@ -393,28 +391,18 @@ func RunLoop(interval, minGap time.Duration, notifier LogNotifier, stop <-chan s
 // instead of silently ticking against a failing dependency; one success
 // restores the configured interval.
 func (inv *Invalidator) Start(interval time.Duration, stop <-chan struct{}) {
-	go RunLoop(interval, 0, nil, stop, func() error {
-		_, err := inv.Cycle()
-		return err
-	}, nil)
+	inv.StartEventDriven(interval, nil, stop)
 }
 
-// StartEventDriven runs Cycle when notifier signals new update-log records —
-// coalescing bursts within minGap (DefaultMinEventGap when <= 0) — while
-// keeping the interval timer as fallback cadence. The invalidation outcome is
-// identical to pull mode (Cycle and the puller are untouched; only the
-// trigger changes); what moves is commit-to-eject staleness, from O(interval)
-// down to O(minGap + cycle time).
-func (inv *Invalidator) StartEventDriven(interval, minGap time.Duration, notifier LogNotifier, stop <-chan struct{}) {
-	if minGap <= 0 {
-		minGap = DefaultMinEventGap
-	}
-	go RunLoop(interval, minGap, notifier, stop, func() error {
+// StartEventDriven runs Cycle the moment notifier signals new update-log
+// records, keeping the interval timer as fallback cadence. The invalidation
+// outcome is identical to pull mode (Cycle and the puller are untouched; only
+// the trigger changes); what moves is commit-to-eject staleness, from
+// O(interval) down to the cycle time.
+func (inv *Invalidator) StartEventDriven(interval time.Duration, notifier LogNotifier, stop <-chan struct{}) {
+	go inv.Run(interval, notifier, stop, func() error {
 		_, err := inv.Cycle()
 		return err
-	}, func(wakes int) {
-		inv.met.eventCycles.Inc()
-		inv.met.burstWakes.Observe(float64(wakes))
 	})
 }
 
@@ -549,8 +537,14 @@ func (inv *Invalidator) Cycle() (rep Report, retErr error) {
 	// staleness sample is recorded; unknown dominates when causes merge,
 	// but a known trace context survives the merge (better to attribute
 	// the eject to one real cause than to none).
-	impacted := make(map[string]pageImpact)
+	// The map is allocated on the first mark: an event-driven loop runs one
+	// cycle per update, and most cycles (and every idle timer-fallback cycle)
+	// impact nothing.
+	var impacted map[string]pageImpact
 	mark := func(key string, stamp time.Time, ctx trace.Context) {
+		if impacted == nil {
+			impacted = make(map[string]pageImpact)
+		}
 		prev, ok := impacted[key]
 		switch {
 		case !ok:
@@ -737,9 +731,44 @@ func (inv *Invalidator) Cycle() (rep Report, retErr error) {
 			mark(k, inv.pendingStamp[k], ctx)
 		}
 	}
+	if len(inv.pending) > 0 {
+		inv.clearPending()
+	}
+	if len(impacted) > 0 {
+		inv.ejectImpacted(impacted, &rep)
+	}
+
+	// 5. Refresh discovered policies (§4.1.4).
+	inv.policies.Evaluate(inv.registry)
+
+	// 6. Self-tuning: materialize advised indexes so future residues are
+	// answered inside the invalidator.
+	if inv.cfg.AutoIndex && inv.cfg.Poller != nil {
+		for _, adv := range inv.Advise() {
+			if inv.indexes.Size(adv.Table, adv.Column) >= 0 {
+				continue // already maintained
+			}
+			// Best effort: a failed load just means we keep polling.
+			inv.indexes.Maintain(inv.cfg.Poller, adv.Table, adv.Column)
+		}
+	}
+
+	rep.Duration = time.Since(start)
+	return rep, nil
+}
+
+// clearPending empties the retry list with its stamps and trace contexts.
+func (inv *Invalidator) clearPending() {
 	inv.pending = nil
-	inv.pendingStamp = make(map[string]time.Time)
-	inv.pendingCtx = make(map[string]trace.Context)
+	clear(inv.pendingStamp)
+	clear(inv.pendingCtx)
+}
+
+// ejectImpacted is the eject step of a cycle that impacted at least one
+// page: it sends the keys, finishes the ones every cache accepted, and
+// rebuilds the retry list (and the breaker state) from the ones that failed.
+func (inv *Invalidator) ejectImpacted(impacted map[string]pageImpact, rep *Report) {
+	tr := inv.cfg.Tracer
 	keys := make([]string, 0, len(impacted))
 	for k := range impacted {
 		keys = append(keys, k)
@@ -772,138 +801,116 @@ func (inv *Invalidator) Cycle() (rep Report, retErr error) {
 		inv.cfg.Map.Remove(k)
 		inv.registry.UnlinkPage(k)
 	}
-	if len(keys) > 0 {
-		// ejectCtxs maps each key with a recording trace to its context; the
-		// ejector propagates them downstream (CacheEjector records the
-		// terminal webcache.eject span, HTTPEjector ships them in the
-		// X-Cacheportal-Trace header so the remote cache can).
-		var ejectCtxs map[string]trace.Context
-		if tr != nil {
-			for _, k := range keys {
-				if ctx := impacted[k].ctx; tr.Recording(ctx.Trace) {
-					if ejectCtxs == nil {
-						ejectCtxs = make(map[string]trace.Context)
-					}
-					ejectCtxs[k] = ctx
+	// ejectCtxs maps each key with a recording trace to its context; the
+	// ejector propagates them downstream (CacheEjector records the
+	// terminal webcache.eject span, HTTPEjector ships them in the
+	// X-Cacheportal-Trace header so the remote cache can).
+	var ejectCtxs map[string]trace.Context
+	if tr != nil {
+		for _, k := range keys {
+			if ctx := impacted[k].ctx; tr.Recording(ctx.Trace) {
+				if ejectCtxs == nil {
+					ejectCtxs = make(map[string]trace.Context)
 				}
+				ejectCtxs[k] = ctx
 			}
 		}
-		ejectStart := time.Now()
-		err := inv.eject(keys, ejectCtxs)
-		now := time.Now()
-		inv.met.ejectSeconds.ObserveDuration(now.Sub(ejectStart))
-		if len(ejectCtxs) > 0 {
-			attrs := []trace.Attr{{K: "keys", V: strconv.Itoa(len(keys))}}
-			if err != nil {
-				attrs = append(attrs, trace.Attr{K: "err", V: "1"})
-			}
-			eachDistinctTrace(ejectCtxs, func(ctx trace.Context) {
-				tr.Record(ctx, "invalidator.eject", ejectStart, now, attrs...)
-			})
-		}
+	}
+	ejectStart := time.Now()
+	err := inv.eject(keys, ejectCtxs)
+	now := time.Now()
+	inv.met.ejectSeconds.ObserveDuration(now.Sub(ejectStart))
+	if len(ejectCtxs) > 0 {
+		attrs := []trace.Attr{{K: "keys", V: strconv.Itoa(len(keys))}}
 		if err != nil {
-			rep.EjectErr = err
-			inv.ejectFailStreak++
-			// A KeyedEjectError narrows the retry set to the keys that
-			// actually failed; keys every cache accepted are finished now.
-			failed := keys
-			var ke KeyedEjectError
-			if errors.As(err, &ke) {
-				failed = ke.FailedKeys()
-			}
-			failedSet := make(map[string]bool, len(failed))
-			for _, k := range failed {
-				failedSet[k] = true
-			}
-			for _, k := range keys {
-				if failedSet[k] {
-					continue
-				}
-				finish(k, now)
-				rep.Invalidated++
-			}
-			sort.Strings(failed)
-			inv.pending = dedupeSorted(failed)
-			stamps := make(map[string]time.Time, len(inv.pending))
-			ctxs := make(map[string]trace.Context, len(inv.pending))
-			for _, k := range inv.pending {
-				pi := impacted[k]
-				stamps[k] = pi.stamp
-				if pi.ctx.Valid() {
-					ctxs[k] = pi.ctx
-					// Force-sample the trace behind a failed eject: its page
-					// is now an outlier in the making, and the retry/breaker
-					// spans of later cycles are exactly the evidence an
-					// operator needs — record them even if the head-sampling
-					// decision at commit time was "skip".
-					tr.Force(pi.ctx.Trace)
-				}
-			}
-			inv.pendingStamp = stamps
-			inv.pendingCtx = ctxs
-			// Circuit breaker: precise ejection has now failed for several
-			// consecutive cycles, so stop trusting it and flush the caches
-			// outright. A successful bulk flush discharges every pending
-			// key at once (flushed pages cannot be stale); a failed one
-			// leaves the retry state untouched for the next cycle.
-			if bulk, ok := inv.cfg.Ejector.(BulkEjector); ok &&
-				inv.cfg.BreakerThreshold > 0 && inv.ejectFailStreak >= inv.cfg.BreakerThreshold {
-				inv.met.breakerTrips.Inc()
-				breakerStart := time.Now()
-				berr := bulk.EjectAll()
-				breakerEnd := time.Now()
-				if tr != nil {
-					battrs := []trace.Attr{{K: "streak", V: strconv.Itoa(inv.ejectFailStreak)}}
-					if berr != nil {
-						battrs = append(battrs, trace.Attr{K: "err", V: "1"})
-					}
-					eachDistinctTrace(inv.pendingCtx, func(ctx trace.Context) {
-						ctx = tr.Record(ctx, "invalidator.breaker", breakerStart, breakerEnd, battrs...)
-						if berr == nil {
-							// The flush landed: the page is gone from every
-							// cache, which completes this trace's story.
-							tr.RecordTerminal(ctx, "webcache.flush", breakerEnd, breakerEnd)
-						}
-					})
-				}
-				if berr == nil {
-					for _, k := range inv.pending {
-						finish(k, now)
-						rep.Invalidated++
-					}
-					rep.Conservative += len(inv.pending)
-					inv.pending = nil
-					inv.pendingStamp = make(map[string]time.Time)
-					inv.pendingCtx = make(map[string]trace.Context)
-					inv.ejectFailStreak = 0
-				}
-			}
-		} else {
-			inv.ejectFailStreak = 0
-			for _, k := range keys {
-				finish(k, now)
-			}
-			rep.Invalidated = len(keys)
+			attrs = append(attrs, trace.Attr{K: "err", V: "1"})
 		}
+		eachDistinctTrace(ejectCtxs, func(ctx trace.Context) {
+			tr.Record(ctx, "invalidator.eject", ejectStart, now, attrs...)
+		})
 	}
-
-	// 5. Refresh discovered policies (§4.1.4).
-	inv.policies.Evaluate(inv.registry)
-
-	// 6. Self-tuning: materialize advised indexes so future residues are
-	// answered inside the invalidator.
-	if inv.cfg.AutoIndex && inv.cfg.Poller != nil {
-		for _, adv := range inv.Advise() {
-			if inv.indexes.Size(adv.Table, adv.Column) >= 0 {
-				continue // already maintained
-			}
-			// Best effort: a failed load just means we keep polling.
-			inv.indexes.Maintain(inv.cfg.Poller, adv.Table, adv.Column)
+	if err != nil {
+		rep.EjectErr = err
+		inv.ejectFailStreak++
+		// A KeyedEjectError narrows the retry set to the keys that
+		// actually failed; keys every cache accepted are finished now.
+		failed := keys
+		var ke KeyedEjectError
+		if errors.As(err, &ke) {
+			failed = ke.FailedKeys()
 		}
+		failedSet := make(map[string]bool, len(failed))
+		for _, k := range failed {
+			failedSet[k] = true
+		}
+		for _, k := range keys {
+			if failedSet[k] {
+				continue
+			}
+			finish(k, now)
+			rep.Invalidated++
+		}
+		sort.Strings(failed)
+		inv.pending = dedupeSorted(failed)
+		stamps := make(map[string]time.Time, len(inv.pending))
+		ctxs := make(map[string]trace.Context, len(inv.pending))
+		for _, k := range inv.pending {
+			pi := impacted[k]
+			stamps[k] = pi.stamp
+			if pi.ctx.Valid() {
+				ctxs[k] = pi.ctx
+				// Force-sample the trace behind a failed eject: its page
+				// is now an outlier in the making, and the retry/breaker
+				// spans of later cycles are exactly the evidence an
+				// operator needs — record them even if the head-sampling
+				// decision at commit time was "skip".
+				tr.Force(pi.ctx.Trace)
+			}
+		}
+		inv.pendingStamp = stamps
+		inv.pendingCtx = ctxs
+		// Circuit breaker: precise ejection has now failed for several
+		// consecutive cycles, so stop trusting it and flush the caches
+		// outright. A successful bulk flush discharges every pending
+		// key at once (flushed pages cannot be stale); a failed one
+		// leaves the retry state untouched for the next cycle.
+		if bulk, ok := inv.cfg.Ejector.(BulkEjector); ok &&
+			inv.cfg.BreakerThreshold > 0 && inv.ejectFailStreak >= inv.cfg.BreakerThreshold {
+			inv.met.breakerTrips.Inc()
+			breakerStart := time.Now()
+			berr := bulk.EjectAll()
+			breakerEnd := time.Now()
+			if tr != nil {
+				battrs := []trace.Attr{{K: "streak", V: strconv.Itoa(inv.ejectFailStreak)}}
+				if berr != nil {
+					battrs = append(battrs, trace.Attr{K: "err", V: "1"})
+				}
+				eachDistinctTrace(inv.pendingCtx, func(ctx trace.Context) {
+					ctx = tr.Record(ctx, "invalidator.breaker", breakerStart, breakerEnd, battrs...)
+					if berr == nil {
+						// The flush landed: the page is gone from every
+						// cache, which completes this trace's story.
+						tr.RecordTerminal(ctx, "webcache.flush", breakerEnd, breakerEnd)
+					}
+				})
+			}
+			if berr == nil {
+				for _, k := range inv.pending {
+					finish(k, now)
+					rep.Invalidated++
+				}
+				rep.Conservative += len(inv.pending)
+				inv.clearPending()
+				inv.ejectFailStreak = 0
+			}
+		}
+	} else {
+		inv.ejectFailStreak = 0
+		for _, k := range keys {
+			finish(k, now)
+		}
+		rep.Invalidated = len(keys)
 	}
-
-	rep.Duration = time.Since(start)
-	return rep, nil
 }
 
 // eject dispatches to the ejector, preferring the traced entry point when

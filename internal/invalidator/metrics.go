@@ -33,7 +33,6 @@ type invMetrics struct {
 	ejectSeconds    *obs.Histogram
 	staleness       *obs.Histogram
 	eventCycles     *obs.Counter
-	burstWakes      *obs.Histogram
 
 	// Eject-granularity split: with fragment-level caching the keys flowing
 	// through the eject path are a mix of whole pages and fragment/template
@@ -84,7 +83,6 @@ func newInvMetrics(reg *obs.Registry) invMetrics {
 		ejectSeconds:    reg.Histogram("invalidator.eject_seconds"),
 		staleness:       reg.Histogram("invalidator.staleness_seconds"),
 		eventCycles:     reg.Counter("invalidator.event_cycles_total"),
-		burstWakes:      reg.Histogram("invalidator.event_burst_wakes"),
 		fragmentEjects:  reg.Counter("invalidator.fragment_ejects_total"),
 		pageEjects:      reg.Counter("invalidator.page_ejects_total"),
 

@@ -26,8 +26,12 @@ func TestFlakyPollerNeverStale(t *testing.T) {
 		db.ExecSQL(fmt.Sprintf("INSERT INTO R VALUES (%d, %d)", rng.Intn(10), rng.Intn(5)))
 		db.ExecSQL(fmt.Sprintf("INSERT INTO S VALUES (%d, %d)", rng.Intn(5), rng.Intn(10)))
 	}
+	var rngMu sync.Mutex // polls run on the cycle's worker pool
 	flaky := pollerFunc(func(sql string) (*engine.Result, error) {
-		if rng.Intn(2) == 0 {
+		rngMu.Lock()
+		drop := rng.Intn(2) == 0
+		rngMu.Unlock()
+		if drop {
 			return nil, errors.New("connection reset")
 		}
 		return db.ExecSQL(sql)

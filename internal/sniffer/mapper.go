@@ -231,6 +231,12 @@ func (mp *Mapper) run() (mapped, attributed int) {
 		retention = 30 * time.Second
 	}
 	cutoff := time.Now().Add(-retention)
+	// The buffer is oldest first, so while its head is inside the retention
+	// window there is nothing to drop — and an event-driven invalidator runs
+	// this once per update, not once per interval.
+	if len(mp.buffer) == 0 || mp.buffer[0].Deliver.After(cutoff) {
+		return mapped, attributed
+	}
 	kept := mp.buffer[:0]
 	for _, q := range mp.buffer {
 		if q.Deliver.After(cutoff) {

@@ -15,6 +15,7 @@ package webcache
 
 import (
 	"container/list"
+	"math"
 	"runtime"
 	"strings"
 	"sync"
@@ -102,6 +103,52 @@ type cacheShard struct {
 	lru       *list.List               // front = most recent within this shard
 	byServlet map[string]map[string]struct{}
 	stats     Stats
+
+	// Eject journal, for poisoning fills that an eject overtook (see
+	// Cache.EjectEpoch). ejected is a ring of this shard's most recent keyed
+	// ejects, each stamped with the cache-wide epoch it was assigned;
+	// ejectFloor is the epoch of the shard's latest bulk eject (Clear,
+	// InvalidatePrefix, InvalidateServlet), which poisons every older fill
+	// regardless of key.
+	ejected    [ejectJournal]ejectRecord
+	ejectNext  int // ring slot the next record goes to
+	ejectFloor uint64
+}
+
+// ejectJournal is how many keyed ejects a shard remembers. A fill that sees
+// the whole ring newer than itself cannot rule its key out and is poisoned —
+// a false positive that costs one store, so the ring only has to outlast the
+// ejects of one origin round trip.
+const ejectJournal = 64
+
+type ejectRecord struct {
+	key   string
+	epoch uint64
+}
+
+// noteEject journals a keyed eject. Callers hold s.mu.
+func (c *Cache) noteEject(s *cacheShard, key string) {
+	s.ejected[s.ejectNext] = ejectRecord{key: key, epoch: c.ejectEpoch.Add(1)}
+	s.ejectNext = (s.ejectNext + 1) % ejectJournal
+}
+
+// ejectedSince reports whether key may have been ejected after epoch since:
+// a bulk eject landed, the key is in the journal with a later epoch, or the
+// journal no longer reaches back to since. Callers hold s.mu.
+func (s *cacheShard) ejectedSince(key string, since uint64) bool {
+	if s.ejectFloor > since {
+		return true
+	}
+	for i := 1; i <= ejectJournal; i++ {
+		rec := &s.ejected[(s.ejectNext-i+ejectJournal)%ejectJournal]
+		if rec.epoch <= since {
+			return false // older than the fill (or an unused slot): done
+		}
+		if rec.key == key {
+			return true
+		}
+	}
+	return true
 }
 
 // stamp returns the next global recency stamp. Single-shard caches skip
@@ -122,6 +169,10 @@ func (c *Cache) stamp() uint64 {
 type Cache struct {
 	shards []*cacheShard
 	seq    atomic.Uint64 // global recency stamp
+	// ejectEpoch counts ejects cache-wide; it advances under the lock of the
+	// shard the eject applies to, so a fill's epoch orders it against every
+	// shard's journal without knowing its key's shard in advance.
+	ejectEpoch atomic.Uint64
 
 	aliasMu   sync.RWMutex
 	alias     map[string]string   // request key → canonical key
@@ -392,6 +443,21 @@ func (c *Cache) Peek(key string) (*Entry, bool) {
 // Put stores a page, evicting the least-recently-used entry of the key's
 // shard if that shard is full.
 func (c *Cache) Put(e *Entry) {
+	c.PutSince(e, math.MaxUint64)
+}
+
+// EjectEpoch returns the cache's current eject epoch. A fill reads it before
+// forwarding a miss to the origin and hands it to PutSince with the response.
+func (c *Cache) EjectEpoch() uint64 { return c.ejectEpoch.Load() }
+
+// PutSince is Put for a fill that began at eject epoch since: if an eject
+// covering e.Key landed after that epoch, the response may predate the update
+// behind the eject — and the invalidator, having ejected the key, has
+// forgotten it, so nothing would ever eject it again. Such a fill is poisoned:
+// nothing is stored and PutSince returns false (the caller still serves the
+// response). Ejects are tracked per key; only a bulk eject, or more than
+// ejectJournal keyed ejects on the shard during one fill, poison by shard.
+func (c *Cache) PutSince(e *Entry, since uint64) bool {
 	if e.StoredAt.IsZero() {
 		e.StoredAt = time.Now()
 	}
@@ -399,6 +465,9 @@ func (c *Cache) Put(e *Entry) {
 	seq := c.stamp()
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.ejectedSince(e.Key, since) {
+		return false
+	}
 	if el, ok := s.entries[e.Key]; ok {
 		se := el.Value.(*shardEntry)
 		s.dropServletRef(se.e)
@@ -413,6 +482,7 @@ func (c *Cache) Put(e *Entry) {
 	}
 	s.addServletRef(e)
 	s.stats.Stores++
+	return true
 }
 
 func (s *cacheShard) addServletRef(e *Entry) {
@@ -466,6 +536,7 @@ func (c *Cache) Invalidate(key string) bool {
 // absent keys (already evicted, or never cached) count as EjectMisses so
 // the invalidator's precision is observable.
 func (c *Cache) invalidateLocked(s *cacheShard, key string) bool {
+	c.noteEject(s, key)
 	el, ok := s.entries[key]
 	if !ok {
 		s.stats.EjectMisses++
@@ -511,6 +582,7 @@ func (c *Cache) InvalidateServlet(servlet string) int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
+		s.ejectFloor = c.ejectEpoch.Add(1)
 		set, ok := s.byServlet[servlet]
 		if !ok {
 			s.mu.Unlock()
@@ -537,6 +609,7 @@ func (c *Cache) InvalidatePrefix(prefix string) int {
 	n := 0
 	for _, s := range c.shards {
 		s.mu.Lock()
+		s.ejectFloor = c.ejectEpoch.Add(1)
 		for key, el := range s.entries {
 			if strings.HasPrefix(key, prefix) {
 				se := el.Value.(*shardEntry)
@@ -557,6 +630,7 @@ func (c *Cache) InvalidatePrefix(prefix string) int {
 func (c *Cache) Clear() {
 	for _, s := range c.shards {
 		s.mu.Lock()
+		s.ejectFloor = c.ejectEpoch.Add(1)
 		s.entries = make(map[string]*list.Element)
 		s.lru.Init()
 		s.byServlet = make(map[string]map[string]struct{})

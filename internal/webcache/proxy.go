@@ -482,6 +482,7 @@ func (p *Proxy) fetchFragment(r *http.Request, templateKey string, ref FragmentR
 	req.Header.Del(fragment.CompositeHeader)
 	req.Header.Set(fragment.FragmentHeader, ref.Name)
 	req.Host = r.Host
+	epoch := p.Cache.EjectEpoch()
 	resp, err := p.client().Do(req)
 	if err != nil {
 		return nil, false
@@ -493,13 +494,13 @@ func (p *Proxy) fetchFragment(r *http.Request, templateKey string, ref FragmentR
 	}
 	if cacheableResponse(resp) {
 		if key := resp.Header.Get(keyHeader); key != "" {
-			p.Cache.Put(&Entry{
+			stored := p.Cache.PutSince(&Entry{
 				Key:         key,
 				Body:        body,
 				ContentType: resp.Header.Get("Content-Type"),
 				Servlet:     resp.Header.Get(servletHeader),
-			})
-			if ref.Private {
+			}, epoch)
+			if stored && ref.Private {
 				p.Cache.Alias(p.privateLookupKey(templateKey, ref.Name, r), key)
 			}
 		}
@@ -511,8 +512,10 @@ func (p *Proxy) fetchFragment(r *http.Request, templateKey string, ref FragmentR
 // and every fragment under their own keys, learns the aliases that make
 // later requests hit (this user's full request key and the cookieless key
 // both lead to the template; each private fragment's derived lookup key
-// leads to its canonical per-user key), and serves the assembled page.
-func (p *Proxy) serveComposite(w http.ResponseWriter, r *http.Request, requestKey string, raw []byte) error {
+// leads to its canonical per-user key), and serves the assembled page. epoch
+// is the cache's eject epoch from before the forward: a piece ejected since
+// is served but not stored (Cache.PutSince), and no alias is learned for it.
+func (p *Proxy) serveComposite(w http.ResponseWriter, r *http.Request, requestKey string, raw []byte, epoch uint64) error {
 	comp, err := fragment.Decode(raw)
 	if err != nil {
 		return err
@@ -524,28 +527,30 @@ func (p *Proxy) serveComposite(w http.ResponseWriter, r *http.Request, requestKe
 	refs := make([]FragmentRef, 0, len(comp.Fragments))
 	for _, piece := range comp.Fragments {
 		ref := FragmentRef{Name: piece.Name, Private: piece.Private}
-		if piece.Private {
-			p.Cache.Alias(p.privateLookupKey(comp.TemplateKey, piece.Name, r), piece.Key)
-		} else {
+		if !piece.Private {
 			ref.Key = piece.Key
 		}
-		p.Cache.Put(&Entry{
+		stored := p.Cache.PutSince(&Entry{
 			Key:         piece.Key,
 			Body:        piece.Body,
 			ContentType: comp.ContentType,
 			Servlet:     comp.Servlet,
-		})
+		}, epoch)
+		if stored && piece.Private {
+			p.Cache.Alias(p.privateLookupKey(comp.TemplateKey, piece.Name, r), piece.Key)
+		}
 		refs = append(refs, ref)
 	}
-	p.Cache.Put(&Entry{
+	if p.Cache.PutSince(&Entry{
 		Key:         comp.TemplateKey,
 		Body:        comp.Template,
 		ContentType: comp.ContentType,
 		Servlet:     comp.Servlet,
 		Refs:        refs,
-	})
-	p.Cache.Alias(requestKey, comp.TemplateKey)
-	p.Cache.Alias(cookielessRequestKey(r), comp.TemplateKey)
+	}, epoch) {
+		p.Cache.Alias(requestKey, comp.TemplateKey)
+		p.Cache.Alias(cookielessRequestKey(r), comp.TemplateKey)
+	}
 	w.Header().Set("Content-Type", comp.ContentType)
 	w.Header().Set(keyHeader, comp.TemplateKey)
 	w.Header().Set(servletHeader, comp.Servlet)
@@ -582,6 +587,9 @@ func (p *Proxy) forwardStore(w http.ResponseWriter, r *http.Request, requestKey 
 		// a composite it won't cache is pure overhead.
 		req.Header.Set(fragment.CompositeHeader, fragment.CompositeAccept)
 	}
+	// An eject that lands between here and the store below overtook this
+	// fill: the response is served but not stored (Cache.PutSince).
+	epoch := p.Cache.EjectEpoch()
 	resp, err := p.client().Do(req)
 	if err != nil {
 		http.Error(w, "bad gateway: "+err.Error(), http.StatusBadGateway)
@@ -596,7 +604,7 @@ func (p *Proxy) forwardStore(w http.ResponseWriter, r *http.Request, requestKey 
 
 	if store && resp.StatusCode == http.StatusOK && r.Method == http.MethodGet && cacheableResponse(resp) {
 		if p.Fragments && resp.Header.Get(fragment.CompositeHeader) == fragment.CompositeYes {
-			if err := p.serveComposite(w, r, requestKey, body); err != nil {
+			if err := p.serveComposite(w, r, requestKey, body, epoch); err != nil {
 				http.Error(w, "bad gateway: "+err.Error(), http.StatusBadGateway)
 			}
 			return
@@ -605,16 +613,17 @@ func (p *Proxy) forwardStore(w http.ResponseWriter, r *http.Request, requestKey 
 		if key == "" {
 			key = requestKey
 		}
-		p.Cache.Put(&Entry{
+		if p.Cache.PutSince(&Entry{
 			Key:         key,
 			Body:        body,
 			ContentType: resp.Header.Get("Content-Type"),
 			Servlet:     resp.Header.Get(servletHeader),
-		})
-		// Remember how this raw request maps to the canonical page key so
-		// later identical requests hit even when the origin's key spec
-		// projects away some parameters.
-		p.Cache.Alias(requestKey, key)
+		}, epoch) {
+			// Remember how this raw request maps to the canonical page key so
+			// later identical requests hit even when the origin's key spec
+			// projects away some parameters.
+			p.Cache.Alias(requestKey, key)
+		}
 	}
 
 	for name, vals := range resp.Header {

@@ -106,8 +106,8 @@ func TestFeedMetricsAndFreshnessTrace(t *testing.T) {
 		t.Fatalf("staleness histogram missing or empty under feed mode: ok=%v %+v", ok, h)
 	}
 	// The event path's whole point: commit-to-eject staleness is bounded by
-	// the coalescing gap plus cycle time, strictly below the cycle interval
-	// that floors pull mode (here the hour-long fallback).
+	// the cycle time, strictly below the cycle interval that floors pull mode
+	// (here the hour-long fallback).
 	if p95 := h.Quantile(0.95); p95 >= time.Hour.Seconds() {
 		t.Fatalf("p95 staleness %.3fs not below the cycle interval", p95)
 	}

@@ -92,15 +92,11 @@ type SiteConfig struct {
 	// cycles as soon as records arrive, the mapper consumes the request and
 	// query logs as feed subscriptions, and Interval degrades to the
 	// fallback cadence. Invalidation outcomes are identical to polling;
-	// commit-to-eject staleness drops from O(Interval) to O(MinEventGap +
-	// cycle time).
+	// commit-to-eject staleness drops from O(Interval) to the cycle time.
 	Feed bool
 	// FeedBuffer bounds the feed buffering (update-log stream and mapper
 	// subscriptions; package defaults when 0).
 	FeedBuffer int
-	// MinEventGap is the burst-coalescing window of event-driven cycles
-	// (invalidator.DefaultMinEventGap when 0). Only used with Feed.
-	MinEventGap time.Duration
 	// PollBudget bounds per-cycle polling time (0 = unbounded).
 	PollBudget time.Duration
 	// Workers bounds the invalidator's evaluation parallelism (0 =
@@ -300,13 +296,10 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		app.Fragments = cfg.Fragments
 		app.MinSensitivity = cfg.Interval
 		if cfg.Feed {
-			// Event-driven invalidation bounds staleness by the coalescing
-			// window plus cycle time, not the fallback interval, so
-			// temporally sensitive servlets stay cacheable.
-			app.MinSensitivity = cfg.MinEventGap
-			if app.MinSensitivity <= 0 {
-				app.MinSensitivity = invalidator.DefaultMinEventGap
-			}
+			// Event-driven invalidation bounds staleness by the cycle time,
+			// not the fallback interval, so temporally sensitive servlets
+			// stay cacheable.
+			app.MinSensitivity = invalidator.EventStalenessBound
 		}
 		for _, def := range cfg.Servlets {
 			if err := app.Register(def.Meta, def.Handler); err != nil {
@@ -444,7 +437,6 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		Obs:         cfg.Obs,
 		EventDriven: cfg.Feed,
 		Notifier:    notifier,
-		MinEventGap: cfg.MinEventGap,
 		UseFeeds:    cfg.Feed,
 		FeedBuffer:  cfg.FeedBuffer,
 		Tracer:      cfg.Tracer,

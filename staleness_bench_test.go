@@ -14,7 +14,7 @@ import (
 // interval mode the timer is the sole driver, so commit-to-eject staleness is
 // uniform over the interval plus cycle time. In feed mode the interval is
 // merely the fallback and the update stream fires the cycle, so staleness
-// collapses to the coalescing gap plus cycle time.
+// collapses to the cycle time.
 func benchStalenessSite(b *testing.B, feed, jsonWire bool, tracer *trace.Tracer) *Site {
 	b.Helper()
 	site, err := NewSite(SiteConfig{
@@ -49,9 +49,8 @@ func benchStalenessSite(b *testing.B, feed, jsonWire bool, tracer *trace.Tracer)
 				},
 			},
 		},
-		Interval:    100 * time.Millisecond,
-		Feed:        feed,
-		MinEventGap: 2 * time.Millisecond,
+		Interval: 100 * time.Millisecond,
+		Feed:     feed,
 		// The workload invalidates 100% of the page's instances on every
 		// update, which policy discovery rightly flags as cache-unfriendly
 		// after a few batches — and an uncached page would make "eviction"
