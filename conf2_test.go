@@ -3,6 +3,7 @@ package cacheportal
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -91,11 +92,16 @@ func TestConfigurationIILive(t *testing.T) {
 		appURLs = append(appURLs, ts.URL)
 	}
 
-	lb := httptest.NewServer(balancer.New(appURLs...))
+	lb := balancer.New(appURLs...)
 	defer lb.Close()
+	lbLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go lb.Serve(lbLn)
 
 	get := func() string {
-		resp, err := http.Get(lb.URL + "/item?id=1")
+		resp, err := http.Get("http://" + lbLn.Addr().String() + "/item?id=1")
 		if err != nil {
 			t.Fatal(err)
 		}

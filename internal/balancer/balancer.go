@@ -1,14 +1,20 @@
 // Package balancer implements the traffic balancer in front of the web
-// server farm (the paper's Cisco LocalDirector): an HTTP reverse proxy that
-// spreads requests over a set of backends, with round-robin,
+// server farm (the paper's Cisco LocalDirector): an HTTP/1.1 relay that
+// routes each request over pooled backend connections, with round-robin,
 // least-connections, and consistent-hash policies, passive health marking,
 // and active re-probing of downed backends.
 package balancer
 
 import (
+	"bufio"
+	"context"
+	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
+	"net/url"
+	"strings"
 	"sync"
 	"time"
 
@@ -35,17 +41,27 @@ const (
 
 type backend struct {
 	base    string // e.g. "http://127.0.0.1:8081"
+	addr    string // the host:port base names
 	active  int    // in-flight requests
 	healthy bool
 	downAt  time.Time
-	probing bool // an active re-probe goroutine is running
+	probing bool        // an active re-probe goroutine is running
+	idle    []*upstream // pooled connections, most recently used last
 }
 
-// Balancer is an http.Handler proxying to a set of backends.
+// upstream is one connection to a backend.
+type upstream struct {
+	conn net.Conn
+	br   *bufio.Reader
+	bw   *bufio.Writer
+}
+
+// Balancer relays HTTP/1.1 from its clients to a set of backends. Each
+// client connection gets one goroutine, which reads a request, picks a
+// backend, writes the request over an idle pooled connection to it (or a
+// fresh one), and copies the response back; framing on both sides is
+// net/http's. Create one with New.
 type Balancer struct {
-	// Client performs backend requests; httpx.Default() (the shared pooled
-	// client with sane timeouts) when nil.
-	Client *http.Client
 	// Policy selects backends; RoundRobin by default.
 	Policy Policy
 	// RetryAfter is how long an unhealthy backend stays out of rotation
@@ -61,34 +77,85 @@ type Balancer struct {
 	// View supplies the placement map for the ConsistentHash policy;
 	// backends are matched to map nodes by URL.
 	View *cluster.View
-	// KeyFn overrides the ConsistentHash key projection
-	// (cluster.RequestRouteKey when nil).
-	KeyFn func(*http.Request) string
+
+	ctx    context.Context // canceled by Close: aborts dials and re-probes
+	cancel context.CancelFunc
+	wg     sync.WaitGroup // client-connection goroutines and re-probes
 
 	mu       sync.Mutex
 	backends []*backend
 	next     int
-	stop     chan struct{}
-	stopOnce sync.Once
+	closed   bool
+	lns      map[net.Listener]struct{}
+	conns    map[net.Conn]struct{} // open client and backend connections
 }
 
 // New creates a balancer over the given backend base URLs.
 func New(backends ...string) *Balancer {
-	b := &Balancer{RetryAfter: time.Second, ProbeInterval: time.Second, stop: make(chan struct{})}
-	for _, url := range backends {
-		b.backends = append(b.backends, &backend{base: url, healthy: true})
+	ctx, cancel := context.WithCancel(context.Background())
+	b := &Balancer{
+		RetryAfter:    time.Second,
+		ProbeInterval: time.Second,
+		ctx:           ctx,
+		cancel:        cancel,
+		lns:           make(map[net.Listener]struct{}),
+		conns:         make(map[net.Conn]struct{}),
+	}
+	for _, base := range backends {
+		addr := base
+		if u, err := url.Parse(base); err == nil && u.Host != "" {
+			addr = u.Host
+		}
+		b.backends = append(b.backends, &backend{base: base, addr: addr, healthy: true})
 	}
 	return b
 }
 
-// Close stops any active re-probe goroutines. The balancer keeps serving
-// (with passive health marking only); Close is idempotent.
-func (b *Balancer) Close() {
-	b.stopOnce.Do(func() {
-		if b.stop != nil {
-			close(b.stop)
+// Serve accepts client connections on ln and relays their requests until
+// the balancer is closed (or ln is), then returns net.ErrClosed.
+func (b *Balancer) Serve(ln net.Listener) error {
+	b.mu.Lock()
+	if b.closed {
+		b.mu.Unlock()
+		ln.Close()
+		return net.ErrClosed
+	}
+	b.lns[ln] = struct{}{}
+	b.mu.Unlock()
+	for {
+		c, err := ln.Accept()
+		if err != nil {
+			if errors.Is(err, net.ErrClosed) {
+				return net.ErrClosed
+			}
+			// Out of file descriptors, say: wait for some to free up.
+			time.Sleep(5 * time.Millisecond)
+			continue
 		}
-	})
+		if !b.track(c, true) {
+			c.Close()
+			return net.ErrClosed
+		}
+		go b.serveConn(c)
+	}
+}
+
+// Close closes every listener passed to Serve, every client connection and
+// every backend connection, stops the re-probes, and returns once the
+// goroutines the balancer started have exited. Close is idempotent.
+func (b *Balancer) Close() {
+	b.mu.Lock()
+	lns, conns := b.lns, b.conns
+	b.closed, b.lns, b.conns = true, nil, nil
+	b.mu.Unlock()
+	b.cancel()
+	for ln := range lns {
+		ln.Close()
+	}
+	for c := range conns {
+		c.Close()
+	}
+	b.wg.Wait()
 }
 
 // Backends returns the configured backend URLs.
@@ -100,6 +167,30 @@ func (b *Balancer) Backends() []string {
 		out[i] = be.base
 	}
 	return out
+}
+
+// track registers an open connection for Close to close, and with serving
+// the goroutine about to serve it for Close to wait for. It reports false
+// once the balancer is closed.
+func (b *Balancer) track(c net.Conn, serving bool) bool {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	if b.closed {
+		return false
+	}
+	b.conns[c] = struct{}{}
+	if serving {
+		b.wg.Add(1)
+	}
+	return true
+}
+
+// forget closes a tracked connection.
+func (b *Balancer) forget(c net.Conn) {
+	b.mu.Lock()
+	delete(b.conns, c)
+	b.mu.Unlock()
+	c.Close()
 }
 
 // pick selects a backend per policy, skipping unhealthy ones whose retry
@@ -158,11 +249,7 @@ func (b *Balancer) pickHashed(r *http.Request, usable func(*backend) bool) *back
 	if m == nil || m.NumSlots() == 0 {
 		return nil
 	}
-	keyFn := b.KeyFn
-	if keyFn == nil {
-		keyFn = cluster.RequestRouteKey
-	}
-	owners := m.Owners(m.Slot(keyFn(r)))
+	owners := m.Owners(m.Slot(cluster.RequestRouteKey(r)))
 	var chosen *backend
 	for _, o := range owners {
 		for _, be := range b.backends {
@@ -184,8 +271,9 @@ func (b *Balancer) release(be *backend, failed bool) {
 	if failed {
 		be.healthy = false
 		be.downAt = time.Now()
-		if b.ProbeInterval > 0 && b.stop != nil && !be.probing {
+		if b.ProbeInterval > 0 && !b.closed && !be.probing {
 			be.probing = true
+			b.wg.Add(1)
 			go b.probe(be)
 		}
 	} else {
@@ -199,6 +287,7 @@ func (b *Balancer) release(be *backend, failed bool) {
 // it, a recovered backend rejoined only when traffic happened to hit it
 // after the RetryAfter window.
 func (b *Balancer) probe(be *backend) {
+	defer b.wg.Done()
 	defer func() {
 		b.mu.Lock()
 		be.probing = false
@@ -206,7 +295,7 @@ func (b *Balancer) probe(be *backend) {
 	}()
 	for attempt := 1; ; attempt++ {
 		select {
-		case <-b.stop:
+		case <-b.ctx.Done():
 			return
 		case <-time.After(backoff.Delay(b.ProbeInterval, attempt, 16*b.ProbeInterval)):
 		}
@@ -216,11 +305,11 @@ func (b *Balancer) probe(be *backend) {
 		if alive { // traffic already brought it back
 			return
 		}
-		req, err := http.NewRequest(http.MethodHead, be.base+"/", nil)
+		req, err := http.NewRequestWithContext(b.ctx, http.MethodHead, be.base+"/", nil)
 		if err != nil {
 			return
 		}
-		resp, err := b.client().Do(req)
+		resp, err := httpx.Default().Do(req)
 		if err != nil {
 			continue
 		}
@@ -233,42 +322,177 @@ func (b *Balancer) probe(be *backend) {
 	}
 }
 
-func (b *Balancer) client() *http.Client {
-	return httpx.Client(b.Client)
-}
+// writerOnly hides a connection's ReadFrom, so a bufio.Writer over it
+// copies a body through its own buffer instead of handing the copy to
+// TCPConn.ReadFrom, which allocates a fresh 32 KB one.
+type writerOnly struct{ io.Writer }
 
-// ServeHTTP proxies the request to a chosen backend.
-func (b *Balancer) ServeHTTP(w http.ResponseWriter, r *http.Request) {
-	be, err := b.pick(r)
-	if err != nil {
-		http.Error(w, err.Error(), http.StatusServiceUnavailable)
-		return
-	}
-	url := be.base + r.URL.Path
-	if r.URL.RawQuery != "" {
-		url += "?" + r.URL.RawQuery
-	}
-	req, err := http.NewRequest(r.Method, url, r.Body)
-	if err != nil {
-		b.release(be, true)
-		http.Error(w, err.Error(), http.StatusBadGateway)
-		return
-	}
-	req.Header = r.Header.Clone()
-	req.Host = r.Host
-	resp, err := b.client().Do(req)
-	if err != nil {
-		b.release(be, true)
-		http.Error(w, "bad gateway: "+err.Error(), http.StatusBadGateway)
-		return
-	}
-	defer resp.Body.Close()
-	for name, vals := range resp.Header {
-		for _, v := range vals {
-			w.Header().Add(name, v)
+// serveConn relays the requests of one client connection until either side
+// closes it.
+func (b *Balancer) serveConn(c net.Conn) {
+	defer b.wg.Done()
+	defer b.forget(c)
+	br := bufio.NewReader(c)
+	bw := bufio.NewWriter(writerOnly{c})
+	for {
+		req, err := http.ReadRequest(br)
+		// A client that stops reading must not pin a backend connection.
+		c.SetWriteDeadline(time.Now().Add(httpx.DefaultTimeout))
+		if err != nil {
+			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+				reply(bw, nil, http.StatusBadRequest, err)
+			}
+			return
+		}
+		if !b.relay(req, bw) {
+			return
 		}
 	}
-	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+}
+
+// relay forwards one request and its response, reporting whether the client
+// connection can carry another request.
+func (b *Balancer) relay(req *http.Request, bw *bufio.Writer) bool {
+	be, err := b.pick(req)
+	if err != nil {
+		return reply(bw, req, http.StatusServiceUnavailable, err)
+	}
+	// The relay answers 100-continue itself, just before reading the body,
+	// so a backend never sends an interim response that would be taken for
+	// the final one.
+	if expect := req.Header.Get("Expect"); expect != "" {
+		req.Header.Del("Expect")
+		if strings.EqualFold(expect, "100-continue") && req.ProtoAtLeast(1, 1) && req.ContentLength != 0 {
+			bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n")
+			bw.Flush()
+		}
+	}
+	resp, up, down, err := b.exchange(be, req)
+	if err != nil {
+		b.release(be, down)
+		return reply(bw, req, http.StatusBadGateway, fmt.Errorf("bad gateway: %w", err))
+	}
+	reuse := !req.Close && !resp.Close
+	if !req.ProtoAtLeast(1, 1) && resp.ContentLength < 0 {
+		// An HTTP/1.0 client cannot read chunked framing: the body ends
+		// where the connection does.
+		resp.TransferEncoding = nil
+		resp.Close = true
+	}
+	err = resp.Write(bw)
+	if err == nil {
+		err = bw.Flush()
+	}
 	b.release(be, false)
+	if err != nil || !reuse {
+		b.forget(up.conn)
+	} else {
+		b.putIdle(be, up)
+	}
+	return err == nil && !req.Close && !resp.Close
+}
+
+// exchange sends req to be and reads the response header, over the most
+// recently pooled connection or, when none is idle, a fresh one. A backend
+// may close an idle connection at any moment, so a pooled connection's
+// failure says nothing about the backend unless it timed out; a request
+// without a body is then sent once more on a fresh dial. down reports
+// whether the failure marks the backend down.
+func (b *Balancer) exchange(be *backend, req *http.Request) (resp *http.Response, up *upstream, down bool, err error) {
+	if up = b.takeIdle(be); up != nil {
+		if resp, err = roundTrip(up, req); err == nil {
+			return resp, up, false, nil
+		}
+		b.forget(up.conn)
+		var ne net.Error
+		timeout := errors.As(err, &ne) && ne.Timeout()
+		replayable := req.Body == http.NoBody && (req.Method == http.MethodGet || req.Method == http.MethodHead)
+		if timeout || !replayable {
+			return nil, nil, timeout, err
+		}
+	}
+	if up, err = b.dial(be); err == nil {
+		if resp, err = roundTrip(up, req); err == nil {
+			return resp, up, false, nil
+		}
+		b.forget(up.conn)
+	}
+	return nil, nil, true, err
+}
+
+// roundTrip writes req on up and reads the response header, the whole
+// exchange bounded by httpx.DefaultTimeout.
+func roundTrip(up *upstream, req *http.Request) (*http.Response, error) {
+	up.conn.SetDeadline(time.Now().Add(httpx.DefaultTimeout))
+	if err := req.Write(up.bw); err != nil {
+		return nil, err
+	}
+	if err := up.bw.Flush(); err != nil {
+		return nil, err
+	}
+	return http.ReadResponse(up.br, req)
+}
+
+// takeIdle pops be's most recently pooled connection, nil when none is idle.
+func (b *Balancer) takeIdle(be *backend) *upstream {
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	n := len(be.idle)
+	if n == 0 {
+		return nil
+	}
+	up := be.idle[n-1]
+	be.idle[n-1] = nil
+	be.idle = be.idle[:n-1]
+	return up
+}
+
+// putIdle pools up for be's next request, or closes it when the pool holds
+// httpx.MaxIdleConnsPerHost already or the balancer is closed.
+func (b *Balancer) putIdle(be *backend, up *upstream) {
+	b.mu.Lock()
+	if !b.closed && len(be.idle) < httpx.MaxIdleConnsPerHost {
+		be.idle = append(be.idle, up)
+		b.mu.Unlock()
+		return
+	}
+	b.mu.Unlock()
+	b.forget(up.conn)
+}
+
+// dial opens a connection to be, bounded by httpx.DefaultDialTimeout and
+// abandoned when the balancer closes.
+func (b *Balancer) dial(be *backend) (*upstream, error) {
+	d := net.Dialer{Timeout: httpx.DefaultDialTimeout}
+	c, err := d.DialContext(b.ctx, "tcp", be.addr)
+	if err != nil {
+		return nil, err
+	}
+	if !b.track(c, false) {
+		c.Close()
+		return nil, net.ErrClosed
+	}
+	return &upstream{conn: c, br: bufio.NewReader(c), bw: bufio.NewWriter(writerOnly{c})}, nil
+}
+
+// reply answers req (nil when it could not be parsed) with an error status,
+// reporting whether the client connection can carry another request: not
+// when the request's body may be left unread.
+func reply(bw *bufio.Writer, req *http.Request, code int, err error) bool {
+	msg := err.Error() + "\n"
+	keep := req != nil && !req.Close && req.ContentLength == 0
+	resp := &http.Response{
+		StatusCode:    code,
+		ProtoMajor:    1,
+		ProtoMinor:    1,
+		Request:       req,
+		Close:         !keep,
+		Header:        http.Header{"Content-Type": {"text/plain; charset=utf-8"}},
+		ContentLength: int64(len(msg)),
+		Body:          io.NopCloser(strings.NewReader(msg)),
+	}
+	if resp.Write(bw) != nil || bw.Flush() != nil {
+		return false
+	}
+	return keep
 }

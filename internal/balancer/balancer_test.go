@@ -3,6 +3,7 @@ package balancer
 import (
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"sync"
@@ -19,6 +20,19 @@ func newBackend(t *testing.T, name string, count *int64) *httptest.Server {
 		}
 		fmt.Fprint(w, name)
 	}))
+}
+
+// serve relays for lb on a loopback listener until the test ends, returning
+// the balancer's base URL.
+func serve(t testing.TB, lb *Balancer) string {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	go lb.Serve(ln)
+	t.Cleanup(lb.Close)
+	return "http://" + ln.Addr().String()
 }
 
 func get(t *testing.T, url string) string {
@@ -39,11 +53,10 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 	b2 := newBackend(t, "two", &c2)
 	defer b2.Close()
 
-	lb := httptest.NewServer(New(b1.URL, b2.URL))
-	defer lb.Close()
+	lb := serve(t, New(b1.URL, b2.URL))
 
 	for i := 0; i < 10; i++ {
-		get(t, lb.URL+"/x")
+		get(t, lb+"/x")
 	}
 	if c1 != 5 || c2 != 5 {
 		t.Fatalf("distribution: %d / %d", c1, c2)
@@ -51,9 +64,11 @@ func TestRoundRobinSpreadsLoad(t *testing.T) {
 }
 
 func TestNoBackends(t *testing.T) {
-	lb := httptest.NewServer(New())
-	defer lb.Close()
-	resp, _ := http.Get(lb.URL + "/x")
+	lb := serve(t, New())
+	resp, err := http.Get(lb + "/x")
+	if err != nil {
+		t.Fatal(err)
+	}
 	resp.Body.Close()
 	if resp.StatusCode != http.StatusServiceUnavailable {
 		t.Fatalf("status %d", resp.StatusCode)
@@ -69,13 +84,12 @@ func TestFailoverSkipsDeadBackend(t *testing.T) {
 
 	lb := New(b1.URL, dead.URL)
 	lb.RetryAfter = time.Hour // once marked down, stays down for the test
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
+	srv := serve(t, lb)
 
 	// First pass may hit the dead one (502), then it is out of rotation.
 	sawGateway := false
 	for i := 0; i < 6; i++ {
-		resp, err := http.Get(srv.URL + "/x")
+		resp, err := http.Get(srv + "/x")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -91,7 +105,7 @@ func TestFailoverSkipsDeadBackend(t *testing.T) {
 	// Now every request lands on the healthy backend.
 	before := atomic.LoadInt64(&c1)
 	for i := 0; i < 4; i++ {
-		if got := get(t, srv.URL+"/x"); got != "alive" {
+		if got := get(t, srv+"/x"); got != "alive" {
 			t.Fatalf("got %q", got)
 		}
 	}
@@ -110,11 +124,10 @@ func TestDeadBackendRetriedAfterWindow(t *testing.T) {
 	lb.backends[0].healthy = false
 	lb.backends[0].downAt = time.Now()
 	lb.mu.Unlock()
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
+	srv := serve(t, lb)
 
 	time.Sleep(20 * time.Millisecond)
-	if got := get(t, srv.URL+"/x"); got != "one" {
+	if got := get(t, srv+"/x"); got != "one" {
 		t.Fatalf("got %q", got)
 	}
 	lb.mu.Lock()
@@ -138,20 +151,19 @@ func TestLeastConnectionsPicksIdle(t *testing.T) {
 
 	lb := New(slow.URL, fast.URL)
 	lb.Policy = LeastConnections
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
+	srv := serve(t, lb)
 
 	// Occupy the slow backend.
 	var wg sync.WaitGroup
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
-		get(t, srv.URL+"/x") // lands on slow (0 active each; slow listed first)
+		get(t, srv+"/x") // lands on slow (0 active each; slow listed first)
 	}()
 	time.Sleep(30 * time.Millisecond)
 	// With slow busy, least-connections must pick fast every time.
 	for i := 0; i < 3; i++ {
-		if got := get(t, srv.URL+"/x"); got != "fast" {
+		if got := get(t, srv+"/x"); got != "fast" {
 			t.Fatalf("got %q", got)
 		}
 	}
@@ -175,9 +187,8 @@ func TestQueryStringForwarded(t *testing.T) {
 		fmt.Fprint(w, r.URL.RawQuery)
 	}))
 	defer b.Close()
-	srv := httptest.NewServer(New(b.URL))
-	defer srv.Close()
-	if got := get(t, srv.URL+"/p?a=1&b=2"); got != "a=1&b=2" {
+	srv := serve(t, New(b.URL))
+	if got := get(t, srv+"/p?a=1&b=2"); got != "a=1&b=2" {
 		t.Fatalf("query: %q", got)
 	}
 }

@@ -77,15 +77,13 @@ func TestActiveReprobeRestoresRecoveredBackend(t *testing.T) {
 	// can bring the backend back.
 	lb.RetryAfter = time.Hour
 	lb.ProbeInterval = 10 * time.Millisecond
-	defer lb.Close()
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
+	srv := serve(t, lb)
 
 	flaky.stop()
 	// Drive traffic until the balancer trips over the dead backend and
 	// marks it down (the unlucky request surfaces as a 502).
 	for i := 0; i < 4; i++ {
-		resp, err := http.Get(srv.URL + "/x")
+		resp, err := http.Get(srv + "/x")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -94,7 +92,7 @@ func TestActiveReprobeRestoresRecoveredBackend(t *testing.T) {
 	// With RetryAfter an hour out, all traffic now goes to the alive node.
 	before := atomic.LoadInt64(&flaky.hits)
 	for i := 0; i < 4; i++ {
-		resp, _ := http.Get(srv.URL + "/x")
+		resp, _ := http.Get(srv + "/x")
 		resp.Body.Close()
 	}
 	if got := atomic.LoadInt64(&flaky.hits); got != before {
@@ -106,7 +104,7 @@ func TestActiveReprobeRestoresRecoveredBackend(t *testing.T) {
 	flaky.start(t, nil)
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		resp, err := http.Get(srv.URL + "/x")
+		resp, err := http.Get(srv + "/x")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -127,9 +125,8 @@ func TestProbeStopsOnClose(t *testing.T) {
 	dead.Close()
 	lb := New(dead.URL)
 	lb.ProbeInterval = time.Millisecond
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
-	resp, _ := http.Get(srv.URL + "/x") // trips the failure, starts the prober
+	srv := serve(t, lb)
+	resp, _ := http.Get(srv + "/x") // trips the failure, starts the prober
 	if resp != nil {
 		resp.Body.Close()
 	}
@@ -153,12 +150,10 @@ func TestConsistentHashRoutesToOwner(t *testing.T) {
 	lb := New(b1.URL, b2.URL)
 	lb.Policy = ConsistentHash
 	lb.View = cluster.NewView(m)
-	defer lb.Close()
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
+	srv := serve(t, lb)
 
 	for i := 0; i < 6; i++ {
-		get(t, srv.URL+fmt.Sprintf("/page?id=%d", i))
+		get(t, srv+fmt.Sprintf("/page?id=%d", i))
 	}
 	if c1 != 6 || c2 != 0 {
 		t.Fatalf("distribution %d/%d, want all on the owner", c1, c2)
@@ -166,7 +161,7 @@ func TestConsistentHashRoutesToOwner(t *testing.T) {
 
 	// Non-GETs are unroutable and fall back to round-robin.
 	for i := 0; i < 4; i++ {
-		resp, err := http.Post(srv.URL+"/submit", "text/plain", nil)
+		resp, err := http.Post(srv+"/submit", "text/plain", nil)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -194,15 +189,13 @@ func TestConsistentHashFallsBackWhenOwnerDown(t *testing.T) {
 	lb.View = cluster.NewView(m)
 	lb.RetryAfter = time.Hour
 	lb.ProbeInterval = 0 // no active probe; the test wants it to stay down
-	defer lb.Close()
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
+	srv := serve(t, lb)
 
 	// First request may 502 while the dead owner gets marked; afterwards
 	// everything routes to the surviving backend.
 	ok := 0
 	for i := 0; i < 6; i++ {
-		resp, err := http.Get(srv.URL + "/page")
+		resp, err := http.Get(srv + "/page")
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -238,9 +231,7 @@ func TestConsistentHashSpreadsAcrossReplicas(t *testing.T) {
 	lb := New(b1.URL, b2.URL)
 	lb.Policy = ConsistentHash
 	lb.View = cluster.NewView(m)
-	defer lb.Close()
-	srv := httptest.NewServer(lb)
-	defer srv.Close()
+	srv := serve(t, lb)
 
 	// A concurrent burst on one hot slot: least-active among the owners
 	// pushes the overflow onto the replica while the primary is busy.
@@ -249,7 +240,7 @@ func TestConsistentHashSpreadsAcrossReplicas(t *testing.T) {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			resp, err := http.Get(srv.URL + "/hot")
+			resp, err := http.Get(srv + "/hot")
 			if err != nil {
 				t.Error(err)
 				return

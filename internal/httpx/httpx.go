@@ -1,11 +1,13 @@
 // Package httpx holds the shared default HTTP client for every component
 // that talks over HTTP — the log mirror, the caching proxy, the ejector,
-// the balancer, and the workload generators. Unlike http.DefaultClient it
-// carries timeouts on every phase (dial, response headers, whole request),
-// so a hung peer degrades into a bounded error instead of a goroutine stuck
-// forever: the failure-model requirement that no pipeline edge blocks the
-// invalidation loop indefinitely. Components still accept an explicit
-// *http.Client for callers that need different limits.
+// the balancer's re-probe, and the workload generators — and the timeouts
+// the balancer's relay arms on its own connections. Unlike
+// http.DefaultClient it carries timeouts on every phase (dial, response
+// headers, whole request), so a hung peer degrades into a bounded error
+// instead of a goroutine stuck forever: the failure-model requirement that
+// no pipeline edge blocks the invalidation loop indefinitely. Components
+// still accept an explicit *http.Client for callers that need different
+// limits.
 package httpx
 
 import (
@@ -21,6 +23,10 @@ const DefaultTimeout = 10 * time.Second
 // DefaultDialTimeout bounds TCP connection establishment.
 const DefaultDialTimeout = 5 * time.Second
 
+// MaxIdleConnsPerHost caps the idle connections kept per backend, here and
+// in the balancer's relay pools: the ejector fans batches out per cache.
+const MaxIdleConnsPerHost = 32
+
 // defaultClient is shared so connection pools are reused across components
 // within one process.
 var defaultClient = &http.Client{
@@ -31,7 +37,7 @@ var defaultClient = &http.Client{
 			KeepAlive: 30 * time.Second,
 		}).DialContext,
 		MaxIdleConns:          128,
-		MaxIdleConnsPerHost:   32, // the ejector fans batches out per cache
+		MaxIdleConnsPerHost:   MaxIdleConnsPerHost,
 		IdleConnTimeout:       90 * time.Second,
 		TLSHandshakeTimeout:   DefaultDialTimeout,
 		ResponseHeaderTimeout: DefaultTimeout,

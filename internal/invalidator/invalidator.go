@@ -169,9 +169,9 @@ type Report struct {
 
 // Invalidator orchestrates the §4 pipeline. Cycle is not safe for
 // concurrent invocation; Start runs it from a single goroutine. Within one
-// cycle, independent (query type × delta table) units are evaluated on a
-// bounded worker pool (Config.Workers) and polling queries run
-// concurrently with in-flight deduplication.
+// cycle, independent (query type × delta table) units are evaluated by the
+// cycle's goroutine and at most Config.Workers-1 helpers, and polling
+// queries run concurrently with in-flight deduplication.
 type Invalidator struct {
 	cfg      Config
 	registry *Registry
@@ -193,6 +193,10 @@ type Invalidator struct {
 	// per-delta schedule build allocation-free.
 	typesBuf  []*QueryType
 	schedPrio []float64
+
+	// spawn starts a Cycle helper; tests substitute it to control when
+	// helpers run.
+	spawn func(func())
 
 	mapVersion int64
 	lastLSN    int64
@@ -254,6 +258,7 @@ func New(cfg Config) *Invalidator {
 		pendingStamp:   make(map[string]time.Time),
 		pendingCtx:     make(map[string]trace.Context),
 		lastLSN:        1,
+		spawn:          func(f func()) { go f() },
 	}
 	if !cfg.DisablePredIndex {
 		inv.pred = newPredIndex(inv.met.predRebuilds)
@@ -635,31 +640,31 @@ func (inv *Invalidator) Cycle() (rep Report, retErr error) {
 			impactedMu.Unlock()
 		}
 
-		workers := inv.cfg.Workers
-		if workers > len(units) {
-			workers = len(units)
+		// Help-first join: this goroutine claims units itself beside at most
+		// Workers-1 helpers and waits only for units a helper claimed, so a
+		// helper the scheduler starts after the work ran out costs nothing.
+		var cursor, left atomic.Int64
+		left.Store(int64(len(units)))
+		helped := make(chan struct{}) // closed by a helper finishing the last unit
+		// run evaluates units until none is unclaimed, reporting whether it
+		// finished the last one.
+		run := func() (last bool) {
+			for i := int(cursor.Add(1)) - 1; i < len(units); i = int(cursor.Add(1)) - 1 {
+				process(units[i])
+				last = left.Add(-1) == 0
+			}
+			return last
 		}
-		if workers <= 1 {
-			for _, u := range units {
-				process(u)
-			}
-		} else {
-			var cursor atomic.Int64
-			var wg sync.WaitGroup
-			wg.Add(workers)
-			for w := 0; w < workers; w++ {
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(cursor.Add(1)) - 1
-						if i >= len(units) {
-							return
-						}
-						process(units[i])
-					}
-				}()
-			}
-			wg.Wait()
+		for h := min(inv.cfg.Workers, len(units)) - 1; h > 0; h-- {
+			inv.spawn(func() {
+				if run() {
+					close(helped)
+				}
+			})
+		}
+		run()
+		if left.Load() > 0 {
+			<-helped
 		}
 		rep.LocalDecisions += int(localDecisions.Load())
 		rep.Conservative += int(conservative.Load())

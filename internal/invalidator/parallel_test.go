@@ -97,6 +97,21 @@ func runWorkload(t *testing.T, workers, conns int, script []string) cycleOutcome
 // the pollers' StmtPoller extension so every poll travels as rendered SQL.
 func runWorkloadWith(t *testing.T, workers, conns int, script []string, textOnly bool) (cycleOutcome, Report) {
 	t.Helper()
+	w := newWorkload(t, workers, conns, textOnly)
+	return w.cycle(t, script)
+}
+
+// workload is an invalidator over a fresh parallelSchema database whose
+// first cycle has swallowed the schema-setup records.
+type workload struct {
+	db      *engine.Database
+	m       *sniffer.QIURLMap
+	inv     *Invalidator
+	ejected []string
+}
+
+func newWorkload(t *testing.T, workers, conns int, textOnly bool) *workload {
+	t.Helper()
 	db := engine.NewDatabase()
 	if _, err := db.ExecScript(parallelSchema); err != nil {
 		t.Fatal(err)
@@ -116,39 +131,54 @@ func runWorkloadWith(t *testing.T, workers, conns int, script []string, textOnly
 	if textOnly {
 		poller = textOnlyPoller{p: poller}
 	}
-	m := sniffer.NewQIURLMap()
-	var ejected []string
-	inv := New(Config{
-		Map:    m,
+	w := &workload{db: db, m: sniffer.NewQIURLMap()}
+	w.inv = New(Config{
+		Map:    w.m,
 		Puller: EngineLogPuller{Log: db.Log()},
 		Poller: poller,
 		Ejector: FuncEjector(func(keys []string) error {
-			ejected = append(ejected, keys...)
+			w.ejected = append(w.ejected, keys...)
 			return nil
 		}),
 		Workers: workers,
 	})
-	if _, err := inv.Cycle(); err != nil { // swallow schema-setup records
+	if _, err := w.inv.Cycle(); err != nil { // swallow schema-setup records
 		t.Fatal(err)
 	}
-	parallelPages(m)
+	return w
+}
+
+// cycle registers the parallel pages, applies script, and runs one cycle.
+func (w *workload) cycle(t *testing.T, script []string) (cycleOutcome, Report) {
+	t.Helper()
+	parallelPages(w.m)
 	for _, sql := range script {
-		if _, err := db.ExecSQL(sql); err != nil {
+		if _, err := w.db.ExecSQL(sql); err != nil {
 			t.Fatalf("%s: %v", sql, err)
 		}
 	}
-	rep, err := inv.Cycle()
+	rep, err := w.inv.Cycle()
 	if err != nil {
 		t.Fatal(err)
 	}
-	sort.Strings(ejected)
+	sort.Strings(w.ejected)
 	return cycleOutcome{
-		Ejected:        ejected,
+		Ejected:        w.ejected,
 		Invalidated:    rep.Invalidated,
 		Conservative:   rep.Conservative,
 		LocalDecisions: rep.LocalDecisions,
 		Polls:          rep.Polls,
 	}, rep
+}
+
+// evaluated counts the (query type × delta table) units w's invalidator has
+// evaluated.
+func (w *workload) evaluated() int64 {
+	var n int64
+	for _, qt := range w.inv.Registry().Types() {
+		n += w.inv.Registry().StatsOf(qt).UpdateBatches
+	}
+	return n
 }
 
 // TestParallelCycleEquivalence is the correctness property of the parallel
@@ -188,6 +218,37 @@ func TestParallelWorkerCountsAgree(t *testing.T) {
 		if !reflect.DeepEqual(want, got) {
 			t.Fatalf("workers=%d diverged:\nsequential: %+v\nparallel:   %+v", workers, want, got)
 		}
+	}
+}
+
+// TestCycleHelpFirstJoin parks every helper a cycle spawns until the cycle
+// has returned: the cycle goroutine evaluates every unit itself, exactly
+// once, with the sequential outcome, and the helpers released afterwards
+// find nothing left to claim.
+func TestCycleHelpFirstJoin(t *testing.T) {
+	script := randomUpdateScript(42, 16)
+	seq := newWorkload(t, 1, 1, false)
+	want, _ := seq.cycle(t, script)
+
+	w := newWorkload(t, 8, 3, false)
+	var parked []func()
+	w.inv.spawn = func(f func()) { parked = append(parked, f) }
+	got, _ := w.cycle(t, script)
+	if !reflect.DeepEqual(want, got) {
+		t.Fatalf("parked helpers diverged:\nsequential: %+v\nhelp-first: %+v", want, got)
+	}
+	units := seq.evaluated()
+	if n := w.evaluated(); n != units {
+		t.Fatalf("%d unit evaluations, want each of the %d units once", n, units)
+	}
+	if want := min(8, int(units)) - 1; len(parked) != want {
+		t.Fatalf("cycle spawned %d helpers, want %d", len(parked), want)
+	}
+	for _, f := range parked {
+		f()
+	}
+	if n := w.evaluated(); n != units {
+		t.Fatalf("released helpers evaluated %d more units", n-units)
 	}
 }
 

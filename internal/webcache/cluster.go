@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"sync"
 	"sync/atomic"
 
 	"repro/internal/cluster"
@@ -188,6 +189,16 @@ func (p *Proxy) forwardPeer(w http.ResponseWriter, r *http.Request, peerURL stri
 		}
 	}
 	w.WriteHeader(resp.StatusCode)
-	io.Copy(w, resp.Body)
+	buf := forwardBufs.Get().(*[32 << 10]byte)
+	io.CopyBuffer(writerOnly{w}, resp.Body, buf[:])
+	forwardBufs.Put(buf)
 	return true
 }
+
+// forwardBufs holds forwardPeer's copy buffers. The copy goes through
+// writerOnly: handed to the ResponseWriter's ReadFrom, a body over 512
+// bytes would reach TCPConn.ReadFrom, which allocates a fresh 32 KB buffer.
+var forwardBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
+
+// writerOnly hides a writer's ReadFrom from io.CopyBuffer.
+type writerOnly struct{ io.Writer }

@@ -488,7 +488,7 @@ func (p *Proxy) fetchFragment(r *http.Request, templateKey string, ref FragmentR
 		return nil, false
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil || resp.StatusCode != http.StatusOK {
 		return nil, false
 	}
@@ -596,7 +596,7 @@ func (p *Proxy) forwardStore(w http.ResponseWriter, r *http.Request, requestKey 
 		return
 	}
 	defer resp.Body.Close()
-	body, err := io.ReadAll(resp.Body)
+	body, err := readBody(resp)
 	if err != nil {
 		http.Error(w, "bad gateway: "+err.Error(), http.StatusBadGateway)
 		return
@@ -634,6 +634,18 @@ func (p *Proxy) forwardStore(w http.ResponseWriter, r *http.Request, requestKey 
 	w.Header().Set(HitHeader, "miss")
 	w.WriteHeader(resp.StatusCode)
 	w.Write(body)
+}
+
+// readBody reads an origin response's body whole, into a buffer sized from
+// its Content-Length when that is known (and sane): io.ReadAll starts at
+// 512 bytes and grows.
+func readBody(resp *http.Response) ([]byte, error) {
+	if n := resp.ContentLength; n >= 0 && n <= 1<<20 {
+		body := make([]byte, n)
+		_, err := io.ReadFull(resp.Body, body)
+		return body, err
+	}
+	return io.ReadAll(resp.Body)
 }
 
 // cacheableResponse reports whether the response is marked with the

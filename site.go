@@ -206,8 +206,6 @@ type Site struct {
 	proxyHTTP *http.Server
 	appLn     []net.Listener
 	proxyLn   net.Listener
-	lbHTTP    *http.Server
-	lbLn      net.Listener
 	appLB     *balancer.Balancer
 	pools     []*driver.Pool
 	pollConn  driver.Conn
@@ -215,7 +213,6 @@ type Site struct {
 
 	cacheHTTP   []*http.Server
 	cacheLB     *balancer.Balancer
-	cacheLBHTTP *http.Server
 	streamHTTP  *http.Server
 	consumers   []*ejectConsumer
 	managerStop chan struct{}
@@ -321,13 +318,12 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	s.AppURL = s.AppURLs[0]
 	if nServers > 1 {
 		s.appLB = balancer.New(s.AppURLs...)
-		s.lbLn, err = net.Listen("tcp", "127.0.0.1:0")
+		lbLn, err := net.Listen("tcp", "127.0.0.1:0")
 		if err != nil {
 			return nil, err
 		}
-		s.lbHTTP = &http.Server{Handler: s.appLB}
-		go s.lbHTTP.Serve(s.lbLn)
-		s.AppURL = "http://" + s.lbLn.Addr().String()
+		go s.appLB.Serve(lbLn)
+		s.AppURL = "http://" + lbLn.Addr().String()
 	}
 
 	// Caching reverse proxy tier (the dynamic web content cache): a single
@@ -532,8 +528,7 @@ func (s *Site) buildCacheCluster(cfg SiteConfig) error {
 	if err != nil {
 		return err
 	}
-	s.cacheLBHTTP = &http.Server{Handler: s.cacheLB}
-	go s.cacheLBHTTP.Serve(lbLn)
+	go s.cacheLB.Serve(lbLn)
 	s.CacheURL = "http://" + lbLn.Addr().String()
 
 	if !cfg.Cluster.PushEjects {
@@ -690,17 +685,11 @@ func (s *Site) Close() {
 	if s.cacheLB != nil {
 		s.cacheLB.Close()
 	}
-	if s.cacheLBHTTP != nil {
-		s.cacheLBHTTP.Close()
-	}
 	for _, hs := range s.cacheHTTP {
 		hs.Close()
 	}
 	if s.appLB != nil {
 		s.appLB.Close()
-	}
-	if s.lbHTTP != nil {
-		s.lbHTTP.Close()
 	}
 	for _, hs := range s.appHTTP {
 		hs.Close()
