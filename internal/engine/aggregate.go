@@ -48,7 +48,7 @@ func (db *Database) projectAggregate(s *sqlparser.SelectStmt, tuples []Env) (*Re
 		order = append(order, "")
 	}
 
-	cols, err := db.outputColumns(s, tuples)
+	cols, err := db.outputColumns(s)
 	if err != nil {
 		return nil, err
 	}
@@ -95,11 +95,11 @@ func (db *Database) projectAggregate(s *sqlparser.SelectStmt, tuples []Env) (*Re
 	if len(s.OrderBy) > 0 {
 		var sortErr error
 		sort.SliceStable(rows, func(i, j int) bool {
-			less, err := orderLess(rows[i].sort, rows[j].sort, s.OrderBy)
+			c, err := orderCmp(rows[i].sort, rows[j].sort, s.OrderBy)
 			if err != nil && sortErr == nil {
 				sortErr = err
 			}
-			return less
+			return c < 0
 		})
 		if sortErr != nil {
 			return nil, sortErr
@@ -110,7 +110,7 @@ func (db *Database) projectAggregate(s *sqlparser.SelectStmt, tuples []Env) (*Re
 	for i, r := range rows {
 		final[i] = r.row
 	}
-	final, err = applyLimit(s, final)
+	final, err = evalLimits(s).window(final, len(final))
 	if err != nil {
 		return nil, err
 	}

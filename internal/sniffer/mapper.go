@@ -1,6 +1,7 @@
 package sniffer
 
 import (
+	"slices"
 	"time"
 
 	"repro/internal/appserver"
@@ -59,7 +60,11 @@ type Mapper struct {
 	lastReq   int64
 	lastQuery int64
 	buffer    []driver.QueryLogEntry // unmatched queries, oldest first
-	truncated bool                   // a log was truncated before we read it
+	base      int                    // position of buffer[0] among all queries ever buffered
+	// byLease indexes the buffer: lease ID (0 for unleased queries) → the
+	// positions of its buffered queries, oldest first.
+	byLease   map[int64][]int
+	truncated bool // a log was truncated before we read it
 
 	// Feed-mode subscriptions, opened lazily on the first Run.
 	reqSub *feed.Subscription[appserver.RequestLogEntry]
@@ -73,6 +78,7 @@ type mapperMetrics struct {
 	runs       *obs.Counter
 	pages      *obs.Counter
 	queries    *obs.Counter
+	examined   *obs.Counter
 	truncs     *obs.Counter
 	runSeconds *obs.Histogram
 	buffered   *obs.Gauge
@@ -111,6 +117,7 @@ func (mp *Mapper) metrics() *mapperMetrics {
 			runs:       mp.Obs.Counter("sniffer.map_runs_total"),
 			pages:      mp.Obs.Counter("sniffer.pages_mapped_total"),
 			queries:    mp.Obs.Counter("sniffer.queries_attributed_total"),
+			examined:   mp.Obs.Counter("sniffer.queries_examined_total"),
 			truncs:     mp.Obs.Counter("sniffer.truncations_total"),
 			runSeconds: mp.Obs.Histogram("sniffer.map_run_seconds"),
 			buffered:   mp.Obs.Gauge("sniffer.queries_buffered"),
@@ -127,11 +134,12 @@ func (mp *Mapper) Run() int {
 	if met != nil {
 		runStart = time.Now()
 	}
-	mapped, attributed := mp.run()
+	mapped, attributed, examined := mp.run()
 	if met != nil {
 		met.runs.Inc()
 		met.pages.Add(int64(mapped))
 		met.queries.Add(int64(attributed))
+		met.examined.Add(int64(examined))
 		met.buffered.Set(int64(len(mp.buffer)))
 		met.runSeconds.ObserveDuration(time.Since(runStart))
 	}
@@ -149,9 +157,9 @@ func (mp *Mapper) Close() {
 	}
 }
 
-// run is the mapping pass proper; it returns mapped request entries and
-// attributed query instances.
-func (mp *Mapper) run() (mapped, attributed int) {
+// run is the mapping pass proper; it returns mapped request entries,
+// attributed query instances and buffered queries examined.
+func (mp *Mapper) run() (mapped, attributed, examined int) {
 	var reqs []appserver.RequestLogEntry
 	var qs []driver.QueryLogEntry
 	var reqTrunc, qTrunc bool
@@ -202,55 +210,115 @@ func (mp *Mapper) run() (mapped, attributed int) {
 			mp.met.truncs.Inc()
 		}
 	}
-	mp.buffer = append(mp.buffer, qs...)
+	if mp.byLease == nil {
+		mp.byLease = make(map[int64][]int)
+	}
+	for _, q := range qs {
+		pos := mp.base + len(mp.buffer)
+		mp.buffer = append(mp.buffer, q)
+		mp.byLease[q.LeaseID] = append(mp.byLease[q.LeaseID], pos)
+	}
 
-	for _, req := range reqs {
+	for i := range reqs {
+		req := &reqs[i]
 		if mp.OnlyCacheable && !req.Cached {
 			continue
 		}
 		var queries []QueryInstance
-		for _, q := range mp.buffer {
-			if !mp.attributable(req, q) {
-				continue
+		var n int
+		if mp.Mode == LeaseAffine && len(req.LeaseIDs) > 0 {
+			queries, n = mp.attributeLeased(req)
+		} else {
+			for j := range mp.buffer {
+				if q := &mp.buffer[j]; mp.attributable(req, q) {
+					queries = append(queries, instance(q))
+				}
 			}
-			queries = append(queries, QueryInstance{
-				SQL:     q.SQL,
-				LogID:   q.ID,
-				Receive: q.Receive,
-				Deliver: q.Deliver,
-			})
+			n = len(mp.buffer)
 		}
 		mp.Map.Record(req.CacheKey, req.Servlet, req.ID, queries)
 		mapped++
 		attributed += len(queries)
+		examined += n
 	}
 
-	// Drop buffered queries that no future request can claim.
+	mp.prune()
+	return mapped, attributed, examined
+}
+
+// attributeLeased attributes to a request with leases, in LeaseAffine mode,
+// the buffered queries that can qualify: its own leases' and the unleased
+// ones. Lease IDs are unique per pool acquisition, so no other query can.
+// The lists are merged back into log order, the order a scan of the whole
+// buffer yields. It returns the attributed queries and how many it examined.
+func (mp *Mapper) attributeLeased(req *appserver.RequestLogEntry) ([]QueryInstance, int) {
+	var stack [4][]int
+	lists := stack[:0]
+	if l := mp.byLease[0]; len(l) > 0 {
+		lists = append(lists, l)
+	}
+	for i, id := range req.LeaseIDs {
+		if id == 0 || slices.Contains(req.LeaseIDs[:i], id) {
+			continue
+		}
+		if l := mp.byLease[id]; len(l) > 0 {
+			lists = append(lists, l)
+		}
+	}
+	var queries []QueryInstance
+	examined := 0
+	for {
+		next := -1
+		for i, l := range lists {
+			if len(l) > 0 && (next < 0 || l[0] < lists[next][0]) {
+				next = i
+			}
+		}
+		if next < 0 {
+			return queries, examined
+		}
+		q := &mp.buffer[lists[next][0]-mp.base]
+		lists[next] = lists[next][1:]
+		examined++
+		if mp.attributable(req, q) {
+			queries = append(queries, instance(q))
+		}
+	}
+}
+
+// prune drops buffered queries no future request can claim: those delivered
+// more than Retention ago. Queries are logged at delivery, so the expired
+// ones are the buffer's prefix, and each lease's expired queries the prefix
+// of its list; the work is proportional to what expires.
+func (mp *Mapper) prune() {
 	retention := mp.Retention
 	if retention <= 0 {
 		retention = 30 * time.Second
 	}
 	cutoff := time.Now().Add(-retention)
-	// The buffer is oldest first, so while its head is inside the retention
-	// window there is nothing to drop — and an event-driven invalidator runs
-	// this once per update, not once per interval.
-	if len(mp.buffer) == 0 || mp.buffer[0].Deliver.After(cutoff) {
-		return mapped, attributed
-	}
-	kept := mp.buffer[:0]
-	for _, q := range mp.buffer {
-		if q.Deliver.After(cutoff) {
-			kept = append(kept, q)
+	n := 0
+	for n < len(mp.buffer) && !mp.buffer[n].Deliver.After(cutoff) {
+		id := mp.buffer[n].LeaseID
+		if l := mp.byLease[id][1:]; len(l) > 0 {
+			mp.byLease[id] = l
+		} else {
+			delete(mp.byLease, id)
 		}
+		n++
 	}
-	mp.buffer = kept
-	return mapped, attributed
+	clear(mp.buffer[:n]) // release the SQL text before the array is regrown
+	mp.buffer = mp.buffer[n:]
+	mp.base += n
+}
+
+func instance(q *driver.QueryLogEntry) QueryInstance {
+	return QueryInstance{SQL: q.SQL, LogID: q.ID, Receive: q.Receive, Deliver: q.Deliver}
 }
 
 // attributable implements the §3.3 containment rule, optionally narrowed by
 // lease affinity. Failed queries are never attributed: they produced no
 // page content.
-func (mp *Mapper) attributable(req appserver.RequestLogEntry, q driver.QueryLogEntry) bool {
+func (mp *Mapper) attributable(req *appserver.RequestLogEntry, q *driver.QueryLogEntry) bool {
 	if q.Err != "" {
 		return false
 	}

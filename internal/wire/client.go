@@ -239,11 +239,7 @@ func (c *Client) Query(sql string) (*engine.Result, error) {
 	if resp.Error != "" {
 		return nil, errors.New(resp.Error)
 	}
-	res := &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected}
-	for _, r := range resp.Rows {
-		res.Rows = append(res.Rows, DecodeRow(r))
-	}
-	return res, nil
+	return &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected, Rows: decodeRows(resp.Rows)}, nil
 }
 
 // LogSince pulls update-log records with LSN >= lsn. It returns the records,

@@ -159,6 +159,30 @@ func DecodeRow(ws []WireValue) mem.Row {
 	return out
 }
 
+// encodeRows converts result rows, sized once; no rows encode as nil.
+func encodeRows(rows []mem.Row) [][]WireValue {
+	if len(rows) == 0 {
+		return nil
+	}
+	out := make([][]WireValue, len(rows))
+	for i, r := range rows {
+		out[i] = EncodeRow(r)
+	}
+	return out
+}
+
+// decodeRows converts wire rows, sized once; no rows decode as nil.
+func decodeRows(ws [][]WireValue) []mem.Row {
+	if len(ws) == 0 {
+		return nil
+	}
+	out := make([]mem.Row, len(ws))
+	for i, w := range ws {
+		out[i] = DecodeRow(w)
+	}
+	return out
+}
+
 // EncodeRecord converts an engine.UpdateRecord.
 func EncodeRecord(r engine.UpdateRecord) LogRecord {
 	return LogRecord{

@@ -253,11 +253,7 @@ func (s *Server) handle(req Request, cs *connStmts) Response {
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
-		resp := Response{Columns: res.Columns, RowsAffected: res.RowsAffected}
-		for _, r := range res.Rows {
-			resp.Rows = append(resp.Rows, EncodeRow(r))
-		}
-		return resp
+		return Response{Columns: res.Columns, RowsAffected: res.RowsAffected, Rows: encodeRows(res.Rows)}
 	case OpCloseStmt:
 		if _, ok := cs.stmts[req.StmtID]; !ok {
 			return Response{Error: fmt.Sprintf("%s %d", ErrUnknownStmt, req.StmtID)}
@@ -275,11 +271,7 @@ func (s *Server) handle(req Request, cs *connStmts) Response {
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
-		resp := Response{Columns: res.Columns, RowsAffected: res.RowsAffected}
-		for _, r := range res.Rows {
-			resp.Rows = append(resp.Rows, EncodeRow(r))
-		}
-		return resp
+		return Response{Columns: res.Columns, RowsAffected: res.RowsAffected, Rows: encodeRows(res.Rows)}
 	case OpLogSince:
 		// SinceNext observes records, cursor, and truncation context under one
 		// lock acquisition; reading NextLSN separately would race with appends

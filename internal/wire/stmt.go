@@ -121,11 +121,7 @@ func (s *Stmt) Exec(args []mem.Value) (*engine.Result, error) {
 	if resp.Error != "" {
 		return nil, errors.New(resp.Error)
 	}
-	res := &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected}
-	for _, r := range resp.Rows {
-		res.Rows = append(res.Rows, DecodeRow(r))
-	}
-	return res, nil
+	return &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected, Rows: decodeRows(resp.Rows)}, nil
 }
 
 // execText binds args into the parsed template client-side and sends the
