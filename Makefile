@@ -13,11 +13,12 @@ test:
 # Full suite under the race detector — the parallel invalidation pipeline
 # and the sharded web cache must stay race-free. The cycle-loop, help-first
 # join, poisoned-fill and balancer relay tests assert on timing and
-# interleaving, so they run three more times: a flaky one should show up
-# here, not on someone's laptop.
+# interleaving, and a feed-mode site's freshness rests on the mapper's
+# synchronous log reads, so these run three more times: a flaky one should
+# show up here, not on someone's laptop.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race -count=3 -run 'TestRunLoop|TestCycleHelpFirstJoin|TestPoisonedFill' ./internal/invalidator/ ./internal/webcache/
+	$(GO) test -race -count=3 -run 'TestRunLoop|TestCycleHelpFirstJoin|TestPoisonedFill|TestSiteFeed|TestMapper' . ./internal/invalidator/ ./internal/webcache/ ./internal/sniffer/
 	$(GO) test -race -count=3 ./internal/balancer/
 
 # Fault-tolerance suite under the race detector: the chaos integration

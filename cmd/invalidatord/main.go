@@ -45,7 +45,6 @@ func main() {
 	dbTimeout := flag.Duration("db-timeout", 0, "per-roundtrip deadline on the update-log connection (0 = default 10s, <0 = none)")
 	httpTimeout := flag.Duration("http-timeout", 0, "request timeout for log fetch and ejects (0 = default 10s)")
 	feed := flag.Bool("feed", false, "event-driven mode: subscribe to the update-log stream and long-poll the app-server logs; -interval becomes the fallback cadence")
-	feedBuffer := flag.Int("feed-buffer", 0, "update-log stream buffer in records (0 = default)")
 	predIdx := flag.Bool("pred-index", true, "probe the predicate index for candidate query instances instead of scanning the registry (same invalidations either way)")
 	fragments := flag.Bool("fragments", false, "annotate cycle logs with the fragment-vs-page eject split (the eject machinery itself is key-agnostic; pair with -fragments on webcached and appserver)")
 	peers := flag.String("peers", "", "cache cluster membership as 'id=url,id=url'; ejects are routed to each key's shard owners instead of every cache (empty = fan out to -cache)")
@@ -69,6 +68,8 @@ func main() {
 		tracer = trace.New(*traceSample, *traceBuffer)
 	}
 
+	// One dedicated connection carries the update log: streamed with -feed,
+	// pulled otherwise.
 	logClient, err := wire.Dial(*dbAddr)
 	if err != nil {
 		log.Fatalf("invalidatord: update log: %v", err)
@@ -80,15 +81,7 @@ func main() {
 	var notifier invalidator.LogNotifier
 	var logFeed *wire.LogFeed
 	if *feed {
-		// The stream needs its own dedicated connection; logClient stays
-		// unused in feed mode but keeps the flag wiring uniform.
-		feedClient, err := wire.Dial(*dbAddr)
-		if err != nil {
-			log.Fatalf("invalidatord: update log stream: %v", err)
-		}
-		feedClient.Timeout = *dbTimeout
-		feedClient.Binary = *wireBinary
-		logFeed = wire.NewLogFeed(feedClient, 1, *feedBuffer)
+		logFeed = wire.NewLogFeed(logClient, 1, 0)
 		defer logFeed.Close()
 		logFeed.SetTracer(tracer)
 		puller = logFeed

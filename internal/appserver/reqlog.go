@@ -3,8 +3,6 @@ package appserver
 import (
 	"sync"
 	"time"
-
-	"repro/internal/feed"
 )
 
 // RequestLogEntry is one record of the HTTP request log, with the fields
@@ -27,8 +25,8 @@ type RequestLogEntry struct {
 }
 
 // RequestLog is a bounded, thread-safe request log. The sniffer's
-// request-to-query mapper reads it either by polling (Since) or as a feed
-// (Subscribe / Changed).
+// request-to-query mapper reads it incrementally (SinceNext); the
+// log export's long poll waits on Changed.
 type RequestLog struct {
 	mu      sync.Mutex
 	entries []RequestLogEntry
@@ -38,9 +36,6 @@ type RequestLog struct {
 	// changed is closed on every append and then replaced (close-and-replace
 	// broadcast; see Changed).
 	changed chan struct{}
-
-	hubOnce sync.Once
-	hub     *feed.Hub[RequestLogEntry]
 }
 
 // DefaultRequestLogCapacity bounds request log memory when no capacity is
@@ -112,22 +107,6 @@ func (l *RequestLog) Changed() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.changed
-}
-
-// Subscribe opens a feed subscription at cursor with bounded buffering (feed
-// defaults when buffer <= 0).
-func (l *RequestLog) Subscribe(cursor int64, buffer int) *feed.Subscription[RequestLogEntry] {
-	return l.Hub().Subscribe(cursor, buffer)
-}
-
-// Hub exposes the log's fan-out feed hub (created on first use).
-func (l *RequestLog) Hub() *feed.Hub[RequestLogEntry] {
-	l.hubOnce.Do(func() {
-		l.hub = feed.NewHub(func(cursor int64) ([]RequestLogEntry, bool, int64, int64) {
-			return l.SinceNext(cursor)
-		}, l.Changed)
-	})
-	return l.hub
 }
 
 // NextID returns the ID the next entry will receive.

@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/appserver"
 	"repro/internal/driver"
-	"repro/internal/feed"
 	"repro/internal/invalidator"
 	"repro/internal/obs"
 	"repro/internal/sniffer"
@@ -59,22 +58,12 @@ type Options struct {
 	// sniff/invalidate hops. nil = tracing off.
 	Tracer *trace.Tracer
 
-	// EventDriven switches the background loop from the pure interval timer
-	// to event-driven cycles: a cycle runs as soon as the Notifier signals
-	// new update-log records, with the interval timer kept as fallback
-	// cadence. Invalidation outcomes are identical to pull mode; only
-	// commit-to-eject staleness changes.
-	EventDriven bool
-	// Notifier supplies the change signal when EventDriven. When nil, New
-	// uses the Puller if it also implements invalidator.LogNotifier
-	// (invalidator.EngineLogPuller and *wire.LogFeed both do).
+	// Notifier, when set, makes the background loop event-driven: a cycle
+	// runs as soon as it signals new update-log records, with the interval
+	// timer kept as fallback cadence (invalidator.EngineLogPuller and
+	// *wire.LogFeed both implement it). Invalidation outcomes are identical
+	// to pure interval ticking; only commit-to-eject staleness changes.
 	Notifier invalidator.LogNotifier
-	// UseFeeds switches the sniffer's mapper from re-polling the request and
-	// query logs to feed subscriptions.
-	UseFeeds bool
-	// FeedBuffer bounds the mapper's feed subscription buffering (feed
-	// defaults when 0).
-	FeedBuffer int
 	// DisablePredIndex turns off the invalidator's predicate index and
 	// restores the per-instance registry scan. Invalidation outcomes are
 	// identical either way; the switch exists for A/B measurement and as an
@@ -124,27 +113,10 @@ func New(opts Options) (*Portal, error) {
 	if opts.Obs == nil {
 		opts.Obs = obs.NewRegistry()
 	}
-	var notifier invalidator.LogNotifier
-	if opts.EventDriven {
-		notifier = opts.Notifier
-		if notifier == nil {
-			n, ok := opts.Puller.(invalidator.LogNotifier)
-			if !ok {
-				return nil, errors.New("cacheportal: EventDriven requires a Notifier (or a Puller that provides Changed)")
-			}
-			notifier = n
-		}
-	}
 	m := sniffer.NewQIURLMap()
 	mp := sniffer.NewMapper(opts.RequestLog, opts.QueryLog, m)
 	mp.Mode = opts.MapperMode
 	mp.Obs = opts.Obs
-	mp.UseFeeds = opts.UseFeeds
-	mp.FeedBuffer = opts.FeedBuffer
-	if opts.UseFeeds {
-		instrumentHub(opts.Obs, "feed.requests", opts.RequestLog.Hub())
-		instrumentHub(opts.Obs, "feed.queries", opts.QueryLog.Hub())
-	}
 
 	var pol *invalidator.Policies
 	if opts.Thresholds == (invalidator.DiscoveryThresholds{}) {
@@ -175,21 +147,8 @@ func New(opts Options) (*Portal, error) {
 	}
 	return &Portal{
 		Map: m, Mapper: mp, Invalidator: inv, Obs: opts.Obs,
-		interval: opts.Interval, notifier: notifier,
+		interval: opts.Interval, notifier: opts.Notifier,
 	}, nil
-}
-
-// instrumentHub registers pull-style gauges for one log hub under
-// "<prefix>.": live subscribers, worst-case subscriber lag in records,
-// batches buffered in subscriber channels, and delivery totals (records over
-// batches is the mean coalesced-burst size).
-func instrumentHub[T any](reg *obs.Registry, prefix string, h *feed.Hub[T]) {
-	reg.GaugeFunc(prefix+".subscribers", func() int64 { return int64(h.Stats().Subscribers) })
-	reg.GaugeFunc(prefix+".lag", h.Lag)
-	reg.GaugeFunc(prefix+".buffered", func() int64 { return int64(h.Stats().Buffered) })
-	reg.GaugeFunc(prefix+".batches_total", func() int64 { return h.Stats().Batches })
-	reg.GaugeFunc(prefix+".records_total", func() int64 { return h.Stats().Records })
-	reg.GaugeFunc(prefix+".truncations_total", func() int64 { return h.Stats().Truncations })
 }
 
 // Interval returns the configured cycle cadence; the application server's
@@ -217,7 +176,7 @@ func (p *Portal) Cycle() (invalidator.Report, error) {
 
 // Start launches the background loop. Calling Start twice is an error.
 // The cadence is invalidator.RunLoop: pure interval ticking by default, and
-// with Options.EventDriven a cycle also runs the moment the notifier signals
+// with Options.Notifier a cycle also runs the moment the notifier signals
 // new log records (records that commit during a cycle batch into the next
 // one; the interval timer is kept as fallback). Either way, consecutive cycle
 // errors stretch the cadence with capped exponential backoff
@@ -253,13 +212,6 @@ func (p *Portal) Stop() {
 	}
 	close(stopCh)
 	<-stopped
-}
-
-// Close stops the background loop and releases the mapper's feed
-// subscriptions. Use it instead of Stop when the portal is done for good.
-func (p *Portal) Close() {
-	p.Stop()
-	p.Mapper.Close()
 }
 
 // LastReport returns the most recent cycle's report, its error, and how

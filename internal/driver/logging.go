@@ -6,7 +6,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/feed"
 )
 
 // QueryLogEntry is one record of the query log: the exact SQL text the
@@ -23,8 +22,8 @@ type QueryLogEntry struct {
 }
 
 // QueryLog is a bounded, thread-safe log of executed queries. The sniffer's
-// request-to-query mapper reads it either by polling (Since) or as a feed
-// (Subscribe / Changed).
+// request-to-query mapper reads it incrementally (SinceNext); the
+// log export's long poll waits on Changed.
 type QueryLog struct {
 	mu      sync.Mutex
 	entries []QueryLogEntry
@@ -34,9 +33,6 @@ type QueryLog struct {
 	// changed is closed on every append and then replaced (close-and-replace
 	// broadcast; see Changed).
 	changed chan struct{}
-
-	hubOnce sync.Once
-	hub     *feed.Hub[QueryLogEntry]
 }
 
 // DefaultQueryLogCapacity bounds query-log memory when no capacity is given.
@@ -107,22 +103,6 @@ func (l *QueryLog) Changed() <-chan struct{} {
 	l.mu.Lock()
 	defer l.mu.Unlock()
 	return l.changed
-}
-
-// Subscribe opens a feed subscription at cursor with bounded buffering (feed
-// defaults when buffer <= 0).
-func (l *QueryLog) Subscribe(cursor int64, buffer int) *feed.Subscription[QueryLogEntry] {
-	return l.Hub().Subscribe(cursor, buffer)
-}
-
-// Hub exposes the log's fan-out feed hub (created on first use).
-func (l *QueryLog) Hub() *feed.Hub[QueryLogEntry] {
-	l.hubOnce.Do(func() {
-		l.hub = feed.NewHub(func(cursor int64) ([]QueryLogEntry, bool, int64, int64) {
-			return l.SinceNext(cursor)
-		}, l.Changed)
-	})
-	return l.hub
 }
 
 // NextID returns the ID the next entry will receive.

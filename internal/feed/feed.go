@@ -1,13 +1,14 @@
 // Package feed is a small, dependency-free abstraction for resumable,
-// cursor-addressed event streams. Every log in CachePortal — the database
-// update log, the HTTP request log, the query log — is an append-only
-// sequence addressed by a monotonically increasing cursor (LSN or entry ID)
-// with bounded retention. A Hub turns such a log's incremental read
-// operation plus its change notification into a fan-out Feed: subscribers
-// name the cursor they want to resume from and receive batches as records
-// arrive, blocking on arrival instead of re-polling, with truncation
-// surfaced in-band when the source discarded records the subscriber had not
-// yet read.
+// cursor-addressed event streams. A Hub turns an append-only log addressed
+// by a monotonically increasing cursor (LSN or entry ID) with bounded
+// retention — its incremental read operation plus its change notification —
+// into a fan-out Feed: subscribers name the cursor they want to resume from
+// and receive batches as records arrive, blocking on arrival instead of
+// re-polling, with truncation surfaced in-band when the source discarded
+// records the subscriber had not yet read. Its one source is the database
+// update log, which the wire server streams to SUBSCRIBE_LOG clients; the
+// request and query logs share the invalidator's process and are read in
+// place.
 //
 // Delivery is pull-through-push: each subscription owns a pump goroutine
 // that reads the source incrementally and sends batches on a bounded
@@ -243,44 +244,6 @@ func (s *Subscription[T]) pump() {
 			case <-s.closeCh:
 				return
 			}
-		}
-	}
-}
-
-// Drain consumes every batch currently buffered on sub without blocking and
-// returns the concatenated records, whether any batch carried the
-// truncation signal, and the cursor after the last consumed batch (start
-// when nothing was pending). It is the bridge for cycle-driven consumers —
-// the sniffer's mapper, the invalidator — that want feed semantics (block-
-// free incremental reads, in-band truncation) inside a synchronous pass.
-func Drain[T any](sub *Subscription[T], start int64) (recs []T, truncated bool, next int64) {
-	next = start
-	for {
-		select {
-		case b, ok := <-sub.C:
-			if !ok {
-				return recs, truncated, next
-			}
-			batch := b.Recs
-			// Sequences are dense, so the batch covers [Next-len, Next):
-			// drop the prefix below the caller's cursor. A caller that
-			// advanced past the subscription — say by reading the source
-			// directly — must not see those records again.
-			if batchStart := b.Next - int64(len(batch)); batchStart < next {
-				drop := next - batchStart
-				if drop >= int64(len(batch)) {
-					batch = nil
-				} else {
-					batch = batch[drop:]
-				}
-			}
-			recs = append(recs, batch...)
-			truncated = truncated || b.Truncated
-			if b.Next > next {
-				next = b.Next
-			}
-		default:
-			return recs, truncated, next
 		}
 	}
 }

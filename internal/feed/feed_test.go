@@ -226,35 +226,6 @@ func TestCloseStopsPumpAndClosesChannel(t *testing.T) {
 	}
 }
 
-func TestDrain(t *testing.T) {
-	l := newTestLog()
-	h := NewHub(l.Pull, l.Changed)
-	sub := h.Subscribe(1, 8)
-	defer sub.Close()
-	l.Append(1, 2, 3)
-	// Wait for the pump to stage the batch, then drain without blocking.
-	deadline := time.Now().Add(5 * time.Second)
-	var recs []int
-	var next int64 = 1
-	for len(recs) < 3 && time.Now().Before(deadline) {
-		got, trunc, n := Drain(sub, next)
-		if trunc {
-			t.Fatal("unexpected truncation")
-		}
-		recs = append(recs, got...)
-		next = n
-		time.Sleep(time.Millisecond)
-	}
-	if len(recs) != 3 || next != 4 {
-		t.Fatalf("drained %v next=%d", recs, next)
-	}
-	// Idle drain returns immediately with the cursor unchanged.
-	got, _, n := Drain(sub, next)
-	if len(got) != 0 || n != next {
-		t.Fatalf("idle drain = %v next=%d", got, n)
-	}
-}
-
 func TestChunkingSplitsLargeBacklog(t *testing.T) {
 	l := newTestLog()
 	vals := make([]int, 10)
@@ -289,32 +260,5 @@ func TestChunkingSplitsLargeBacklog(t *testing.T) {
 		if v != i {
 			t.Fatalf("record %d = %d", i, v)
 		}
-	}
-}
-
-// TestDrainSkipsBelowCursor: a caller that advanced its cursor past the
-// subscription (e.g. by reading the source directly) must not see those
-// records again — Drain drops the already-consumed prefix positionally.
-func TestDrainSkipsBelowCursor(t *testing.T) {
-	l := newTestLog()
-	h := NewHub(l.Pull, l.Changed)
-	sub := h.Subscribe(1, 8)
-	defer sub.Close()
-	l.Append(10, 20, 30, 40, 50) // sequences 1..5
-
-	deadline := time.Now().Add(5 * time.Second)
-	var recs []int
-	var next int64 = 4 // caller already consumed 1..3 out of band
-	for next < 6 && time.Now().Before(deadline) {
-		got, trunc, n := Drain(sub, next)
-		if trunc {
-			t.Fatal("unexpected truncation")
-		}
-		recs = append(recs, got...)
-		next = n
-		time.Sleep(time.Millisecond)
-	}
-	if len(recs) != 2 || recs[0] != 40 || recs[1] != 50 || next != 6 {
-		t.Fatalf("drained %v next=%d, want [40 50] next=6", recs, next)
 	}
 }

@@ -43,7 +43,7 @@ func (e *safeEjector) count() int {
 }
 
 // runFeedWorkload runs one fixed workload either pull-style (writes, then a
-// single manual Cycle) or event-driven (StartEventDriven with an effectively
+// single manual Cycle) or event-driven (Run with an effectively
 // disabled timer, so only log events trigger cycles) and returns the sorted
 // set of ejected pages.
 func runFeedWorkload(t *testing.T, workers int, eventDriven bool) []string {
@@ -95,7 +95,10 @@ func runFeedWorkload(t *testing.T, workers int, eventDriven bool) []string {
 
 	stop := make(chan struct{})
 	defer close(stop)
-	inv.StartEventDriven(time.Hour, EngineLogPuller{Log: db.Log()}, stop)
+	go inv.Run(time.Hour, EngineLogPuller{Log: db.Log()}, stop, func() error {
+		_, err := inv.Cycle()
+		return err
+	})
 	for _, w := range writes {
 		if _, err := db.ExecSQL(w); err != nil {
 			t.Fatal(err)

@@ -168,7 +168,7 @@ type Report struct {
 }
 
 // Invalidator orchestrates the §4 pipeline. Cycle is not safe for
-// concurrent invocation; Start runs it from a single goroutine. Within one
+// concurrent invocation; Run drives it from a single goroutine. Within one
 // cycle, independent (query type × delta table) units are evaluated by the
 // cycle's goroutine and at most Config.Workers-1 helpers, and polling
 // queries run concurrently with in-flight deduplication.
@@ -298,9 +298,8 @@ const maxCycleBackoffFactor = 16
 
 // NextCycleDelay returns how long a cycle loop should wait before the next
 // cycle: the configured interval after a success, capped exponential
-// backoff with jitter after failures consecutive errors. Shared by Start,
-// the portal's loop, and invalidatord so every deployment degrades the same
-// way.
+// backoff with jitter after failures consecutive errors. RunLoop uses it, so
+// the portal's loop and invalidatord degrade the same way.
 func NextCycleDelay(interval time.Duration, failures int) time.Duration {
 	if failures <= 0 {
 		return interval
@@ -329,12 +328,11 @@ const EventStalenessBound = 10 * time.Millisecond
 // channels nobody held. Without a notifier the loop is the pure timer: first
 // cycle one interval in.
 //
-// The interval timer is always retained as a fallback (it is what keeps a
-// feed that degraded to polling fresh). Consecutive cycle errors stretch the
-// cadence through NextCycleDelay, and while the loop is backing off it ignores
-// the notifier — a dead dependency under steady updates is retried on the
-// backoff schedule, not once per commit; the first successful cycle restores
-// immediate firing. Every deployment — in-process, portal, invalidatord —
+// The interval timer is always retained as a fallback cadence. Consecutive
+// cycle errors stretch the cadence through NextCycleDelay, and while the loop
+// is backing off it ignores the notifier — a dead dependency under steady
+// updates is retried on the backoff schedule, not once per commit; the first
+// successful cycle restores immediate firing. Every deployment — in-process, portal, invalidatord —
 // degrades the same way. onEvent, when non-nil, is called for each wake-up
 // the notifier (not the timer) caused. RunLoop blocks until stop closes.
 func RunLoop(interval time.Duration, notifier LogNotifier, stop <-chan struct{}, cycle func() error, onEvent func()) {
@@ -389,26 +387,6 @@ func RunLoop(interval time.Duration, notifier LogNotifier, stop <-chan struct{},
 // synchronous callers, invalidatord syncs its log mirror first).
 func (inv *Invalidator) Run(interval time.Duration, notifier LogNotifier, stop <-chan struct{}, cycle func() error) {
 	RunLoop(interval, notifier, stop, cycle, inv.met.eventCycles.Inc)
-}
-
-// Start runs Cycle every interval until stop closes. Consecutive cycle
-// errors stretch the cadence with exponential backoff (capped, jittered)
-// instead of silently ticking against a failing dependency; one success
-// restores the configured interval.
-func (inv *Invalidator) Start(interval time.Duration, stop <-chan struct{}) {
-	inv.StartEventDriven(interval, nil, stop)
-}
-
-// StartEventDriven runs Cycle the moment notifier signals new update-log
-// records, keeping the interval timer as fallback cadence. The invalidation
-// outcome is identical to pull mode (Cycle and the puller are untouched; only
-// the trigger changes); what moves is commit-to-eject staleness, from
-// O(interval) down to the cycle time.
-func (inv *Invalidator) StartEventDriven(interval time.Duration, notifier LogNotifier, stop <-chan struct{}) {
-	go inv.Run(interval, notifier, stop, func() error {
-		_, err := inv.Cycle()
-		return err
-	})
 }
 
 // maxTracedPerCycle bounds how many recording traces get per-trace phase

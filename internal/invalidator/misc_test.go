@@ -114,7 +114,10 @@ func TestInvalidatorStartLoop(t *testing.T) {
 		t.Fatal(err)
 	}
 	stop := make(chan struct{})
-	inv.Start(5*time.Millisecond, stop)
+	go inv.Run(5*time.Millisecond, nil, stop, func() error {
+		_, err := inv.Cycle()
+		return err
+	})
 	db.ExecSQL("INSERT INTO Car VALUES ('Kia', 'Rio', 12000)")
 	deadline := time.After(2 * time.Second)
 	for ejected.Load() == 0 {

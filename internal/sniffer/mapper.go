@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/appserver"
 	"repro/internal/driver"
-	"repro/internal/feed"
 	"repro/internal/obs"
 )
 
@@ -49,13 +48,6 @@ type Mapper struct {
 	// queries attributed, run latency, buffered-query depth, truncations.
 	// Set it before the first Run; handles are resolved lazily once.
 	Obs *obs.Registry
-	// UseFeeds switches Run from re-polling the two logs to draining feed
-	// subscriptions: block-free incremental reads with truncation in-band.
-	// Set before the first Run.
-	UseFeeds bool
-	// FeedBuffer bounds each subscription's batch buffering (feed defaults
-	// when <= 0).
-	FeedBuffer int
 
 	lastReq   int64
 	lastQuery int64
@@ -65,10 +57,6 @@ type Mapper struct {
 	// positions of its buffered queries, oldest first.
 	byLease   map[int64][]int
 	truncated bool // a log was truncated before we read it
-
-	// Feed-mode subscriptions, opened lazily on the first Run.
-	reqSub *feed.Subscription[appserver.RequestLogEntry]
-	qSub   *feed.Subscription[driver.QueryLogEntry]
 
 	met *mapperMetrics
 }
@@ -146,64 +134,19 @@ func (mp *Mapper) Run() int {
 	return mapped
 }
 
-// Close releases the mapper's feed subscriptions (no-op in polling mode or
-// before the first feed-mode Run).
-func (mp *Mapper) Close() {
-	if mp.reqSub != nil {
-		mp.reqSub.Close()
-	}
-	if mp.qSub != nil {
-		mp.qSub.Close()
-	}
-}
-
 // run is the mapping pass proper; it returns mapped request entries,
 // attributed query instances and buffered queries examined.
 func (mp *Mapper) run() (mapped, attributed, examined int) {
-	var reqs []appserver.RequestLogEntry
-	var qs []driver.QueryLogEntry
-	var reqTrunc, qTrunc bool
-	if mp.UseFeeds {
-		if mp.reqSub == nil {
-			mp.reqSub = mp.Requests.Subscribe(mp.lastReq, mp.FeedBuffer)
-		}
-		if mp.qSub == nil {
-			mp.qSub = mp.Queries.Subscribe(mp.lastQuery, mp.FeedBuffer)
-		}
-		// Feed pumps deliver asynchronously, but a mapping pass must observe
-		// every entry logged before it started: the invalidator consumes
-		// update records right after this runs, and an update analyzed while
-		// its page is still unmapped leaves that page stale forever. So each
-		// drain is topped up synchronously to its log's current head —
-		// requests before queries, preserving the polling invariant that a
-		// mapped request's queries are always visible. When the pump has
-		// caught up the top-up is an empty read; the drained prefix is never
-		// re-read (Drain skips below its cursor on later runs).
-		reqs, reqTrunc, mp.lastReq = feed.Drain(mp.reqSub, mp.lastReq)
-		if tail, tTrunc, next, _ := mp.Requests.SinceNext(mp.lastReq); len(tail) > 0 || tTrunc {
-			reqs = append(reqs, tail...)
-			reqTrunc = reqTrunc || tTrunc
-			mp.lastReq = next
-		}
-		qs, qTrunc, mp.lastQuery = feed.Drain(mp.qSub, mp.lastQuery)
-		if tail, tTrunc, next, _ := mp.Queries.SinceNext(mp.lastQuery); len(tail) > 0 || tTrunc {
-			qs = append(qs, tail...)
-			qTrunc = qTrunc || tTrunc
-			mp.lastQuery = next
-		}
-	} else {
-		// Pull requests first: any query belonging to a pulled request was
-		// logged before the request's delivery-time log append, so pulling
-		// queries second cannot miss them.
-		reqs, reqTrunc = mp.Requests.Since(mp.lastReq)
-		if len(reqs) > 0 {
-			mp.lastReq = reqs[len(reqs)-1].ID + 1
-		}
-		qs, qTrunc = mp.Queries.Since(mp.lastQuery)
-		if len(qs) > 0 {
-			mp.lastQuery = qs[len(qs)-1].ID + 1
-		}
-	}
+	// Read requests first: any query belonging to a read request was logged
+	// before the request's delivery-time append, so reading queries second
+	// cannot miss them. Both reads are synchronous, so a pass observes every
+	// entry logged before it started — the invalidator consumes update
+	// records right after this runs, and an update analyzed while its page
+	// is still unmapped would leave that page stale forever.
+	reqs, reqTrunc, next, _ := mp.Requests.SinceNext(mp.lastReq)
+	mp.lastReq = next
+	qs, qTrunc, next, _ := mp.Queries.SinceNext(mp.lastQuery)
+	mp.lastQuery = next
 	if reqTrunc || qTrunc {
 		mp.truncated = true
 		if mp.met != nil {

@@ -207,42 +207,38 @@ func mapSig(m *QIURLMap) []PageMapping {
 // TestMapperIndexEquivalence: over random request and query logs fed in
 // rounds, with the retention window moving across runs, the lease-indexed
 // mapper records exactly the mappings the full scan did — the same query
-// instances in the same order after every Run — in both attribution modes
-// and in both feed and polling mode.
+// instances in the same order after every Run — in both attribution modes.
 func TestMapperIndexEquivalence(t *testing.T) {
 	worlds := 40
 	if testing.Short() {
 		worlds = 10
 	}
 	for _, mode := range []MapperMode{LeaseAffine, IntervalOnly} {
-		for _, feeds := range []bool{false, true} {
-			t.Run(fmt.Sprintf("mode=%d/feeds=%v", mode, feeds), func(t *testing.T) {
-				var attributed, expired int
-				for seed := int64(1); seed <= int64(worlds); seed++ {
-					a, e := checkMapperWorld(t, rand.New(rand.NewSource(seed)), mode, feeds)
-					attributed += a
-					expired += e
-				}
-				// The property is vacuous unless queries were attributed and
-				// the window dropped some before a request could claim them.
-				if attributed == 0 || expired == 0 {
-					t.Fatalf("attributed %d queries, %d mappings lost queries to retention", attributed, expired)
-				}
-			})
-		}
+		t.Run(fmt.Sprintf("mode=%d", mode), func(t *testing.T) {
+			var attributed, expired int
+			for seed := int64(1); seed <= int64(worlds); seed++ {
+				a, e := checkMapperWorld(t, rand.New(rand.NewSource(seed)), mode)
+				attributed += a
+				expired += e
+			}
+			// The property is vacuous unless queries were attributed and
+			// the window dropped some before a request could claim them.
+			if attributed == 0 || expired == 0 {
+				t.Fatalf("attributed %d queries, %d mappings lost queries to retention", attributed, expired)
+			}
+		})
 	}
 }
 
 // checkMapperWorld runs one world through both mappers and returns the
 // queries attributed and how many runs' mappings retention had shrunk
 // (compared with an unbounded window).
-func checkMapperWorld(t *testing.T, rng *rand.Rand, mode MapperMode, feeds bool) (attributed, expired int) {
+func checkMapperWorld(t *testing.T, rng *rand.Rand, mode MapperMode) (attributed, expired int) {
 	t.Helper()
 	w := newMapperWorld(rng)
 	rlog, qlog := appserver.NewRequestLog(0), driver.NewQueryLog(0)
 	got := NewMapper(rlog, qlog, NewQIURLMap())
-	got.Mode, got.UseFeeds = mode, feeds
-	defer got.Close()
+	got.Mode = mode
 	want := &scanMapper{Requests: rlog, Queries: qlog, Map: NewQIURLMap(), Mode: mode, OnlyCacheable: true, lastReq: 1, lastQuery: 1}
 	unbounded := &scanMapper{Requests: rlog, Queries: qlog, Map: NewQIURLMap(), Mode: mode, OnlyCacheable: true, lastReq: 1, lastQuery: 1,
 		Retention: 100 * worldSeconds * time.Second}
@@ -272,7 +268,7 @@ func checkMapperWorld(t *testing.T, rng *rand.Rand, mode MapperMode, feeds bool)
 			t.Fatalf("round ending %ds: Run mapped %d requests, scan %d", end, gotMapped, wantMapped)
 		}
 		if g, s := mapSig(got.Map), mapSig(want.Map); !reflect.DeepEqual(g, s) {
-			t.Fatalf("round ending %ds (mode %d, feeds %v): maps differ\nindexed: %+v\nscan:    %+v", end, mode, feeds, g, s)
+			t.Fatalf("round ending %ds (mode %d): maps differ\nindexed: %+v\nscan:    %+v", end, mode, g, s)
 		}
 		// Pruning keeps exactly what the scan keeps, and the index covers
 		// exactly the buffer.

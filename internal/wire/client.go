@@ -267,16 +267,9 @@ func (c *Client) LogSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error)
 	return recs, truncated, resp.NextLSN, nil
 }
 
-// ErrSubscribeUnsupported reports that the server predates SUBSCRIBE_LOG.
-// The connection remains usable for plain roundtrips; callers should fall
-// back to LogSince polling permanently, as Stmt falls back to text queries.
-var ErrSubscribeUnsupported = errors.New("wire: server does not support subscribelog")
-
 // streamLog opens a SUBSCRIBE_LOG stream at cursor and invokes deliver for
 // every record-bearing frame until the stream fails, the server closes, or
-// Close is called (which unblocks the read). It returns
-// ErrSubscribeUnsupported — leaving the connection attached and synced — when
-// the server answers with an unknown-op error.
+// Close is called (which unblocks the read).
 //
 // The stream reads the connection without holding c.mu, so the client must be
 // dedicated: no concurrent roundtrips while a stream is open. Keep Timeout
@@ -322,14 +315,6 @@ func (c *Client) streamLog(cursor int64, deliver func(Response)) error {
 		}
 		if first {
 			first = false
-			if strings.Contains(resp.Error, "unknown op") {
-				// An old server answered the frame cleanly; the connection is
-				// still synced, so keep it for the polling fallback.
-				c.mu.Lock()
-				c.fails = 0
-				c.mu.Unlock()
-				return ErrSubscribeUnsupported
-			}
 			c.mu.Lock()
 			c.fails = 0
 			c.mu.Unlock()

@@ -22,13 +22,9 @@ const DefaultFeedBuffer = 1 << 16
 // event-driven mode — only the trigger (Changed) and the transport differ
 // from polling.
 //
-// The feed heals itself: a dropped stream resubscribes from the last buffered
-// cursor through the client's reconnect backoff, losing nothing and
-// re-delivering nothing. Against a server that predates SUBSCRIBE_LOG the
-// feed flips permanently to polling — PullSince delegates straight to
-// Client.LogSince and Changed never fires, so an event-driven consumer
-// degrades to its timer fallback, mirroring the prepared-statement text-only
-// fallback.
+// The feed heals itself: a dropped stream or a stream error resubscribes
+// from the last buffered cursor through the client's reconnect backoff,
+// losing nothing and re-delivering nothing.
 type LogFeed struct {
 	c      *Client
 	buffer int
@@ -47,7 +43,6 @@ type LogFeed struct {
 	stopOnce sync.Once
 	done     chan struct{}
 
-	unsupported  atomic.Bool
 	resubscribes atomic.Int64
 	delivered    atomic.Int64
 	bursts       atomic.Int64 // frames that carried records
@@ -97,15 +92,10 @@ func (f *LogFeed) run() {
 		cursor := f.next
 		f.mu.Unlock()
 		got := false
-		err := f.c.streamLog(cursor, func(resp Response) {
+		f.c.streamLog(cursor, func(resp Response) {
 			got = true
 			f.deliver(resp)
 		})
-		if errors.Is(err, ErrSubscribeUnsupported) {
-			f.unsupported.Store(true)
-			f.wake() // let any Changed waiter re-evaluate once
-			return
-		}
 		if got {
 			attempts = 0
 		}
@@ -160,22 +150,11 @@ func (f *LogFeed) deliver(resp Response) {
 	f.changed = make(chan struct{})
 }
 
-func (f *LogFeed) wake() {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	close(f.changed)
-	f.changed = make(chan struct{})
-}
-
 // PullSince drains the buffered stream: records with LSN >= lsn, whether the
 // server's log was truncated before the caller's cursor, and the cursor to
-// pull from next. It never blocks on the network — in feed mode the answer is
-// whatever the stream has delivered so far. In fallback mode (old server) it
-// is a plain LogSince roundtrip.
+// pull from next. It never blocks on the network: the answer is whatever the
+// stream has delivered so far.
 func (f *LogFeed) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error) {
-	if f.unsupported.Load() {
-		return f.c.LogSince(lsn)
-	}
 	if lsn < 1 {
 		lsn = 1
 	}
@@ -209,7 +188,6 @@ func (f *LogFeed) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, erro
 
 // Changed returns a channel closed when the stream has delivered new records
 // since the call — the event-driven trigger. Re-obtain it after each wakeup.
-// In fallback mode the channel never fires; consumers keep their timer.
 func (f *LogFeed) Changed() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -251,10 +229,6 @@ func (f *LogFeed) Delivered() int64 { return f.delivered.Load() }
 // mean coalesced-burst size.
 func (f *LogFeed) Bursts() int64 { return f.bursts.Load() }
 
-// Fallback reports whether the feed degraded to LogSince polling because the
-// server does not speak SUBSCRIBE_LOG.
-func (f *LogFeed) Fallback() bool { return f.unsupported.Load() }
-
 // SetTracer attaches a pipeline tracer: each sampled record delivered by
 // the stream gets a "feed.deliver" span (commit time → delivery time) and
 // the record's context is advanced to it, so invalidator spans parent on
@@ -263,20 +237,13 @@ func (f *LogFeed) SetTracer(t *trace.Tracer) { f.tracer.Store(t) }
 
 // Instrument registers the feed's health under "<prefix>.": buffer occupancy
 // (records waiting for the next pull), records and record-bearing frames
-// received (their ratio is the mean coalesced-burst size), stream
-// re-establishments, and whether the feed degraded to polling. Pull-style
-// gauges, so the stream path is untouched.
+// received (their ratio is the mean coalesced-burst size), and stream
+// re-establishments. Pull-style gauges, so the stream path is untouched.
 func (f *LogFeed) Instrument(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".buffered", func() int64 { return int64(f.Buffered()) })
 	reg.GaugeFunc(prefix+".delivered_total", f.Delivered)
 	reg.GaugeFunc(prefix+".bursts_total", f.Bursts)
 	reg.GaugeFunc(prefix+".resubscribes_total", f.Resubscribes)
-	reg.GaugeFunc(prefix+".fallback", func() int64 {
-		if f.Fallback() {
-			return 1
-		}
-		return 0
-	})
 }
 
 // Close stops the stream and closes the underlying client. Safe to call

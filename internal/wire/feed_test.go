@@ -112,9 +112,6 @@ func TestLogFeedStreamsUpdates(t *testing.T) {
 		t.Fatalf("second pull: rec=%+v next=%d", got[0], next)
 	}
 
-	if f.Fallback() {
-		t.Fatal("feed flipped to fallback against a current server")
-	}
 	if s.Subscribes() != 1 {
 		t.Fatalf("server subscribes = %d", s.Subscribes())
 	}
@@ -143,53 +140,6 @@ func TestLogFeedBackpressureDrainsInOrder(t *testing.T) {
 	}
 	if next != n+1 {
 		t.Fatalf("final cursor = %d", next)
-	}
-}
-
-// TestLogFeedFallsBackToPolling drives the feed against a server that
-// predates SUBSCRIBE_LOG: the subscribe attempt gets an unknown-op error and
-// the feed must degrade to LogSince polling on the same connection.
-func TestLogFeedFallsBackToPolling(t *testing.T) {
-	addr := startFakeLogServer(t, func(i int, conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
-		defer conn.Close()
-		for {
-			var req Request
-			if dec.Decode(&req) != nil {
-				return
-			}
-			switch req.Op {
-			case OpLogSince:
-				enc.Encode(Response{
-					Records:  []LogRecord{{LSN: 1, Table: "kv", Op: "INSERT"}},
-					NextLSN:  2,
-					FirstLSN: 1,
-				})
-			default:
-				// An old server's default branch: unknown op, clean frame.
-				enc.Encode(Response{Error: fmt.Sprintf("wire: unknown op %q", req.Op)})
-			}
-		}
-	})
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	f := NewLogFeed(c, 1, 0)
-	defer f.Close()
-
-	deadline := time.Now().Add(10 * time.Second)
-	for !f.Fallback() {
-		if time.Now().After(deadline) {
-			t.Fatal("feed never detected the old server")
-		}
-		time.Sleep(time.Millisecond)
-	}
-	recs, trunc, next, err := f.PullSince(1)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(recs) != 1 || recs[0].LSN != 1 || trunc || next != 2 {
-		t.Fatalf("fallback pull: recs=%v trunc=%v next=%d", recs, trunc, next)
 	}
 }
 
@@ -258,6 +208,44 @@ func TestLogFeedResubscribesFromCursor(t *testing.T) {
 	defer mu.Unlock()
 	if len(cursors) < 2 {
 		t.Fatalf("server saw %d subscribes, want >= 2", len(cursors))
+	}
+}
+
+// TestLogFeedRetriesErrorFrame: a SUBSCRIBE_LOG answered with an error frame
+// is an ordinary stream failure — the feed resubscribes from the same cursor
+// after backoff instead of giving up on the stream.
+func TestLogFeedRetriesErrorFrame(t *testing.T) {
+	addr := startFakeLogServer(t, func(i int, conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
+		defer conn.Close()
+		var req Request
+		if dec.Decode(&req) != nil {
+			return
+		}
+		if i == 0 {
+			enc.Encode(Response{Error: fmt.Sprintf("wire: unknown op %q", req.Op)})
+			return
+		}
+		enc.Encode(Response{}) // ack
+		enc.Encode(Response{Records: []LogRecord{{LSN: req.LSN, Table: "kv", Op: "INSERT"}}, NextLSN: req.LSN + 1, FirstLSN: 1})
+		for enc.Encode(Response{}) == nil {
+			time.Sleep(20 * time.Millisecond)
+		}
+	})
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.BackoffBase = time.Millisecond
+	c.MaxBackoff = 5 * time.Millisecond
+	f := NewLogFeed(c, 1, 0)
+	defer f.Close()
+
+	got, next := pullAll(t, f, 1, 1)
+	if got[0].LSN != 1 || next != 2 {
+		t.Fatalf("record = %+v next = %d", got[0], next)
+	}
+	if f.Resubscribes() < 1 {
+		t.Fatal("error frame did not count as a resubscribe")
 	}
 }
 

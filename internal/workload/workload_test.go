@@ -182,11 +182,12 @@ func TestSessionMixIssuesPersonalizedRequests(t *testing.T) {
 		}
 		mu.Lock()
 		users[c.Value]++
+		seen := users[c.Value]
 		if r.URL.Path == "/flash" {
 			flash++
 		}
 		mu.Unlock()
-		if users[c.Value] > 1 {
+		if seen > 1 {
 			w.Header().Set("X-Cacheportal-Cache", "partial")
 		}
 		fmt.Fprint(w, "ok")

@@ -89,14 +89,10 @@ type SiteConfig struct {
 	Interval time.Duration
 	// Feed switches the site to event-driven invalidation: the portal
 	// subscribes to the DB server's update-log stream (wire.LogFeed) and
-	// cycles as soon as records arrive, the mapper consumes the request and
-	// query logs as feed subscriptions, and Interval degrades to the
+	// cycles as soon as records arrive, and Interval degrades to the
 	// fallback cadence. Invalidation outcomes are identical to polling;
 	// commit-to-eject staleness drops from O(Interval) to the cycle time.
 	Feed bool
-	// FeedBuffer bounds the feed buffering (update-log stream and mapper
-	// subscriptions; package defaults when 0).
-	FeedBuffer int
 	// PollBudget bounds per-cycle polling time (0 = unbounded).
 	PollBudget time.Duration
 	// Workers bounds the invalidator's evaluation parallelism (0 =
@@ -361,7 +357,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 			return nil, err
 		}
 		feedClient.Binary = !cfg.DisableWireBinary
-		s.feed = wire.NewLogFeed(feedClient, 1, cfg.FeedBuffer)
+		s.feed = wire.NewLogFeed(feedClient, 1, 0)
 		s.feed.Instrument(cfg.Obs, "feed")
 		s.feed.SetTracer(cfg.Tracer)
 		puller = s.feed
@@ -421,21 +417,18 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		ejector = faults.Ejector{Next: ejector, Inj: cfg.Chaos}
 	}
 	portal, err := core.New(core.Options{
-		RequestLog:  s.RequestLog,
-		QueryLog:    s.QueryLog,
-		Puller:      puller,
-		Poller:      poller,
-		Ejector:     ejector,
-		Interval:    cfg.Interval,
-		PollBudget:  cfg.PollBudget,
-		Workers:     cfg.Workers,
-		Rules:       cfg.Rules,
-		Obs:         cfg.Obs,
-		EventDriven: cfg.Feed,
-		Notifier:    notifier,
-		UseFeeds:    cfg.Feed,
-		FeedBuffer:  cfg.FeedBuffer,
-		Tracer:      cfg.Tracer,
+		RequestLog: s.RequestLog,
+		QueryLog:   s.QueryLog,
+		Puller:     puller,
+		Poller:     poller,
+		Ejector:    ejector,
+		Interval:   cfg.Interval,
+		PollBudget: cfg.PollBudget,
+		Workers:    cfg.Workers,
+		Rules:      cfg.Rules,
+		Obs:        cfg.Obs,
+		Notifier:   notifier,
+		Tracer:     cfg.Tracer,
 
 		DisablePredIndex: cfg.DisablePredIndex,
 	})
@@ -664,7 +657,7 @@ func (s *Site) allCaches() []*webcache.Cache {
 // Close shuts every component down. Safe on partially built sites.
 func (s *Site) Close() {
 	if s.Portal != nil {
-		s.Portal.Close()
+		s.Portal.Stop()
 	}
 	if s.managerStop != nil {
 		close(s.managerStop)
