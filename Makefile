@@ -13,13 +13,15 @@ test:
 # Full suite under the race detector — the parallel invalidation pipeline
 # and the sharded web cache must stay race-free. The cycle-loop, help-first
 # join, poisoned-fill and balancer relay tests assert on timing and
-# interleaving, and a feed-mode site's freshness rests on the mapper's
-# synchronous log reads, so these run three more times: a flaky one should
+# interleaving, a feed-mode site's freshness rests on the mapper's
+# synchronous log reads, and the wire client's connection state machine
+# (drop and redial with backoff, statement re-prepare, stream resubscribe)
+# is timing-driven too, so these run three more times: a flaky one should
 # show up here, not on someone's laptop.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestRunLoop|TestCycleHelpFirstJoin|TestPoisonedFill|TestSiteFeed|TestMapper' . ./internal/invalidator/ ./internal/webcache/ ./internal/sniffer/
-	$(GO) test -race -count=3 ./internal/balancer/
+	$(GO) test -race -count=3 ./internal/balancer/ ./internal/wire/
 
 # Fault-tolerance suite under the race detector: the chaos integration
 # tests (full pipeline under injected faults), the invalidator's recovery
@@ -72,11 +74,10 @@ bench-registry:
 	$(GO) test -run xxx -bench 'BenchmarkRegistryScale|BenchmarkRegistryEnumeration' -benchtime 5x -benchmem -timeout 60m . ./internal/invalidator/ \
 		| $(GO) run ./cmd/benchjson -merge -out BENCH_invalidator.json
 
-# Wire codec and poll-index comparison, merged into BENCH_invalidator.json.
-# Three acceptance checks: BenchmarkWireLogSince codec=binary must beat
-# codec=json on the 256-record LogSince hot path, BenchmarkHighFanoutPoll
-# mode=indexed must beat mode=scan at 100k rows, and BenchmarkCommitToEject
-# feed (binary) p95-staleness-ms must come in at or below feed-json.
+# Wire codec and poll-index measurements, merged into BENCH_invalidator.json:
+# BenchmarkWireLogSince times the 256-record LogSince roundtrip,
+# BenchmarkHighFanoutPoll mode=indexed must beat mode=scan at 100k rows, and
+# BenchmarkCommitToEject records the feed's p95-staleness-ms.
 bench-wire:
 	$(GO) test -run xxx -bench 'BenchmarkWireLogSince|BenchmarkCommitToEject' -benchtime 2s . ./internal/wire/ \
 		| $(GO) run ./cmd/benchjson -merge -out BENCH_invalidator.json
@@ -123,8 +124,8 @@ trace-smoke:
 	$(GO) test -race ./internal/trace/
 	$(GO) test -race -run 'TestTraceSmoke|TestTraceChaosExemplar|TestHTTPEjectorPropagatesTraceContexts' -v . ./internal/invalidator/
 
-# Coverage-guided fuzzing: the SQL parser/printer round-trip and the binary
-# wire codec (encode/decode identity plus JSON cross-codec agreement).
+# Coverage-guided fuzzing: the SQL parser/printer round-trip and the wire
+# codec (bit-exact encode/decode identity, and no panic on arbitrary bytes).
 # FUZZTIME bounds each target (CI smoke uses 30s; leave it running longer
 # locally). `go test -fuzz` takes one target per invocation, hence two lines.
 FUZZTIME ?= 30s

@@ -30,7 +30,6 @@ func main() {
 	obsLog := flag.Duration("obs-log", 0, "log a metrics snapshot at this interval (0 = never)")
 	longpollMax := flag.Duration("longpoll-max", 0, "cap on log-export long-poll waits (0 = default)")
 	fragments := flag.Bool("fragments", false, "fragment mode: answer composite-negotiated requests with fragment pieces the cache can store and assemble independently")
-	wireBinary := flag.Bool("wire-binary", true, "offer the binary wire framing on DB connections (an old server declines harmlessly; false = JSON only)")
 	traceOn := flag.Bool("trace", false, "serve /debug/trace (the app server originates no pipeline spans; the endpoint keeps the debug surface uniform)")
 	traceSample := flag.Int("trace-sample", trace.DefaultSample, "head-sample every Nth trace (<=1 = all)")
 	traceBuffer := flag.Int("trace-buffer", trace.DefaultBuffer, "span ring-buffer capacity")
@@ -42,7 +41,7 @@ func main() {
 	}
 
 	qlog := driver.NewQueryLog(0)
-	logged := driver.NewLoggingDriver(driver.NetDriver{DisableBinary: !*wireBinary}, qlog)
+	logged := driver.NewLoggingDriver(driver.NetDriver{}, qlog)
 	p, err := driver.NewPool(logged, *dbAddr, *pool)
 	if err != nil {
 		log.Fatalf("appserver: %v", err)

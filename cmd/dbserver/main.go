@@ -32,7 +32,6 @@ func main() {
 	obsLog := flag.Duration("obs-log", 0, "log a metrics snapshot at this interval (0 = never)")
 	stmtCache := flag.Int("stmt-cache-size", 0, "prepared-statement cache capacity (0 = default)")
 	feedHeartbeat := flag.Duration("feed-heartbeat", 0, "idle heartbeat interval on update-log subscriptions (0 = default)")
-	wireBinary := flag.Bool("wire-binary", true, "accept the binary wire framing when clients offer it (false = JSON only, as a pre-binary server)")
 	autoIndex := flag.Bool("auto-index", true, "create hash/ordered indexes from the WHERE shapes of prepared query templates")
 	traceOn := flag.Bool("trace", false, "stamp pipeline-trace contexts into committed update records; serves /debug/trace")
 	traceSample := flag.Int("trace-sample", trace.DefaultSample, "head-sample every Nth trace (<=1 = all)")
@@ -67,7 +66,6 @@ func main() {
 	db.SetTracer(tracer)
 
 	srv := wire.NewServer(db)
-	srv.DisableBinary = !*wireBinary
 	if *feedHeartbeat > 0 {
 		srv.HeartbeatInterval = *feedHeartbeat
 	}

@@ -53,7 +53,6 @@ func main() {
 	ejectRetain := flag.Int("eject-retain", 0, "eject-stream retention in records (0 = default)")
 	clusterManage := flag.Bool("cluster-manage", false, "run the adaptive shard manager: probe the peers' /debug/cluster gauges and add/drop hot-shard replicas (requires -peers)")
 	manageInterval := flag.Duration("manage-interval", time.Second, "shard-manager probe cadence")
-	wireBinary := flag.Bool("wire-binary", true, "offer the binary wire framing on DB connections (an old server declines harmlessly; false = JSON only)")
 	verbose := flag.Bool("v", false, "log every cycle")
 	debugAddr := flag.String("debug-addr", "127.0.0.1:8071", "address for /debug/metrics and /debug/vars (empty = off)")
 	withPprof := flag.Bool("pprof", false, "also expose /debug/pprof/ on the debug address")
@@ -76,7 +75,6 @@ func main() {
 	}
 	defer logClient.Close()
 	logClient.Timeout = *dbTimeout
-	logClient.Binary = *wireBinary
 	var puller invalidator.LogPuller = invalidator.WireLogPuller{Client: logClient}
 	var notifier invalidator.LogNotifier
 	var logFeed *wire.LogFeed
@@ -96,7 +94,7 @@ func main() {
 	}
 	conns := make([]invalidator.Poller, 0, *pollConns)
 	for i := 0; i < *pollConns; i++ {
-		c, err := driver.NetDriver{DisableBinary: !*wireBinary}.Connect(*dbAddr)
+		c, err := driver.NetDriver{}.Connect(*dbAddr)
 		if err != nil {
 			log.Fatalf("invalidatord: polling connection: %v", err)
 		}

@@ -28,7 +28,6 @@ func main() {
 	duration := flag.Duration("duration", 30*time.Second, "how long to run")
 	seed := flag.Int64("seed", 1, "random seed")
 	zipf := flag.Float64("zipf", 0, "Zipf skew for page popularity (0 = uniform, try 1.2)")
-	wireBinary := flag.Bool("wire-binary", true, "offer the binary wire framing on the update connection (false = JSON only)")
 	flag.Parse()
 
 	gen := workload.NewRequestGen(*rate, *seed, demoapp.PageURLs(*base)...)
@@ -47,7 +46,6 @@ func main() {
 			log.Fatalf("loadgen: %v", err)
 		}
 		defer client.Close()
-		client.Binary = *wireBinary
 		target := workload.ExecFunc(func(sql string) error {
 			_, err := client.Query(sql)
 			return err

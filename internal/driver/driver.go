@@ -37,22 +37,16 @@ type Driver interface {
 // ---------------------------------------------------------------------------
 
 // NetDriver connects over the wire protocol.
-type NetDriver struct {
-	// DisableBinary keeps connections on JSON framing. By default every
-	// connection offers the binary upgrade on its first roundtrip; an old
-	// server declines harmlessly and the connection stays on JSON.
-	DisableBinary bool
-}
+type NetDriver struct{}
 
 // Connect dials url, which must look like "net://host:port" (the scheme is
 // optional).
-func (d NetDriver) Connect(url string) (Conn, error) {
+func (NetDriver) Connect(url string) (Conn, error) {
 	addr := trimScheme(url, "net")
 	c, err := wire.Dial(addr)
 	if err != nil {
 		return nil, err
 	}
-	c.Binary = !d.DisableBinary
 	return &netConn{c: c, stmts: lru.New[string, *wire.Stmt](stmtCacheCapacity)}, nil
 }
 

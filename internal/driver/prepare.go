@@ -98,8 +98,7 @@ func (s *textStmt) Exec(args []mem.Value) (*engine.Result, error) {
 // ---------------------------------------------------------------------------
 
 // Prepare implements Preparer over the wire protocol's PREPARE/EXECUTE
-// verbs. The wire statement survives reconnects (it re-prepares itself) and
-// degrades to text against servers that predate the verbs.
+// verbs. The wire statement survives reconnects (it re-prepares itself).
 func (n *netConn) Prepare(sql string) (Stmt, error) {
 	ws, err := n.c.Prepare(sql)
 	if err != nil {

@@ -1,8 +1,6 @@
 package invalidator
 
 import (
-	"encoding/json"
-	"net"
 	"sort"
 	"sync"
 	"testing"
@@ -11,7 +9,6 @@ import (
 	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/sniffer"
-	"repro/internal/wire"
 )
 
 // safeEjector records ejected keys under a lock: event-driven cycles run on
@@ -150,54 +147,30 @@ func equalStrings(a, b []string) bool {
 	return true
 }
 
-// TestWireTruncationFlushExactlyOnce is the satellite regression: a server
-// whose log trimmed past the invalidator's cursor — and whose Truncated flag
-// was lost (modeling a reconnect mid-pull) — must still trigger the
-// conservative flush, and exactly one cycle of it: the FirstLSN context makes
-// truncation a pure function of the cursor.
-func TestWireTruncationFlushExactlyOnce(t *testing.T) {
-	// Scripted server: the log retains LSNs 50..51 (FirstLSN 50), and always
-	// reports Truncated=false.
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-	go func() {
-		for {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(c net.Conn) {
-				defer c.Close()
-				dec, enc := json.NewDecoder(c), json.NewEncoder(c)
-				for {
-					var req wire.Request
-					if dec.Decode(&req) != nil {
-						return
-					}
-					resp := wire.Response{NextLSN: 52, FirstLSN: 50}
-					for lsn := req.LSN; lsn <= 51; lsn++ {
-						if lsn < 50 {
-							continue
-						}
-						resp.Records = append(resp.Records, wire.LogRecord{LSN: lsn, Table: "t", Op: "INSERT"})
-					}
-					enc.Encode(resp)
-				}
-			}(c)
-		}
-	}()
+// trimmedLogPuller serves a log that retains only LSNs 50..51. The server's
+// Truncated flag is lost (always false, as after a reconnect mid-pull), so
+// truncation comes only from the retained boundary, the way
+// wire.Client.LogSince recomputes it from FirstLSN (pinned in the wire
+// package by TestLogSinceRecomputesTruncationFromFirstLSN).
+type trimmedLogPuller struct{}
 
-	cl, err := wire.Dial(ln.Addr().String())
-	if err != nil {
-		t.Fatal(err)
+func (trimmedLogPuller) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error) {
+	const first, next = 50, 52
+	var recs []engine.UpdateRecord
+	for l := max(lsn, first); l < next; l++ {
+		recs = append(recs, engine.UpdateRecord{LSN: l, Table: "t", Op: engine.OpInsert})
 	}
-	defer cl.Close()
+	return recs, lsn < first, next, nil
+}
+
+// TestWireTruncationFlushExactlyOnce is the satellite regression: a log that
+// trimmed past the invalidator's cursor — with its Truncated flag lost —
+// must still trigger the conservative flush, and exactly one cycle of it:
+// the FirstLSN context makes truncation a pure function of the cursor.
+func TestWireTruncationFlushExactlyOnce(t *testing.T) {
 	m := sniffer.NewQIURLMap()
 	ej := &safeEjector{}
-	inv := New(Config{Map: m, Puller: WireLogPuller{Client: cl}, Ejector: ej})
+	inv := New(Config{Map: m, Puller: trimmedLogPuller{}, Ejector: ej})
 	m.Record("p1", "servlet", 1, []sniffer.QueryInstance{{SQL: "SELECT a FROM t WHERE a = 1", LogID: 1}})
 	m.Record("p2", "servlet", 1, []sniffer.QueryInstance{{SQL: "SELECT a FROM t WHERE a = 2", LogID: 2}})
 

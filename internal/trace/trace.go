@@ -36,7 +36,7 @@ import (
 
 // Context identifies a position in a trace: the trace itself plus the
 // span that any new child should hang off. It travels in-band — inside
-// UpdateLog records, wire LogRecords, and the X-Cacheportal-Trace HTTP
+// UpdateLog records (on the wire too), and the X-Cacheportal-Trace HTTP
 // header (see Context.String / ParseContext).
 type Context struct {
 	Trace int64 `json:"trace"`

@@ -2,73 +2,39 @@ package wire
 
 import (
 	"bufio"
-	"bytes"
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"io"
 	"math"
 	"net"
 	"sync"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/mem"
 )
 
-// Binary framing: after a successful HELLO exchange both sides switch from
-// newline-delimited JSON to length-prefixed binary frames — a 4-byte
-// big-endian payload length followed by the payload. The payload encodes
-// Request/Response field-by-field in a fixed order: varints for integers
-// (zigzag where the field is signed), uvarint-length-prefixed strings, one
-// kind-tag byte per value mirroring WireValue's "n"/"i"/"f"/"s"/"b" kinds.
+// Framing: every frame, in both directions and from the first byte of a
+// connection, is a 4-byte big-endian payload length followed by the payload.
+// The payload encodes Request/Response field-by-field in a fixed order:
+// varints for integers (zigzag where the field is signed),
+// uvarint-length-prefixed strings, one kind-tag byte per value. Floats travel
+// as their IEEE-754 bits and strings as raw bytes, so NaN, ±Inf, -0.0 and
+// invalid UTF-8 arrive exactly as they left.
 //
 // There is deliberately no resynchronization: a corrupt length prefix or a
 // payload that fails to decode leaves the stream position meaningless, so
-// any decode error must drop the connection — exactly the JSON codec's
-// desync rule. Frames are built in and read into pooled buffers, so the
-// steady state (the LogFeed stream in particular) allocates only for the
-// decoded values themselves, not per frame.
+// any decode error must drop the connection. Frames are built in and read
+// into pooled buffers, so the steady state (the LogFeed stream in
+// particular) allocates only for the decoded values themselves, not per
+// frame.
 
-// BinaryVersion is the binary-framing protocol version this build speaks.
-// HELLO carries it both ways; version 0 in a response means "JSON only".
-const BinaryVersion = 1
-
-// maxFrame caps a binary frame's payload. A length prefix beyond it is
-// treated as stream corruption, not an allocation request.
+// maxFrame caps a frame's payload. A length prefix beyond it is treated as
+// stream corruption, not an allocation request.
 const maxFrame = 64 << 20
 
 // bufPool recycles frame buffers across connections and directions.
 var bufPool = sync.Pool{New: func() any { return new([]byte) }}
-
-// Op <-> opcode tables. Every Op has a code so the codecs stay total; HELLO
-// itself is only ever sent as JSON (it is what negotiates binary) but keeps
-// a code for uniformity.
-const (
-	opcodeQuery = iota + 1
-	opcodeLogSince
-	opcodePing
-	opcodePrepare
-	opcodeExecute
-	opcodeCloseStmt
-	opcodeSubscribeLog
-	opcodeHello
-)
-
-var opCodes = map[Op]byte{
-	OpQuery:        opcodeQuery,
-	OpLogSince:     opcodeLogSince,
-	OpPing:         opcodePing,
-	OpPrepare:      opcodePrepare,
-	OpExecute:      opcodeExecute,
-	OpCloseStmt:    opcodeCloseStmt,
-	OpSubscribeLog: opcodeSubscribeLog,
-	OpHello:        opcodeHello,
-}
-
-var opNames = func() map[byte]Op {
-	m := make(map[byte]Op, len(opCodes))
-	for op, c := range opCodes {
-		m[c] = op
-	}
-	return m
-}()
 
 // Value kind tags.
 const (
@@ -81,107 +47,93 @@ const (
 
 // ---- encoding ----
 
-func appendUvarint(b []byte, v uint64) []byte { return binary.AppendUvarint(b, v) }
-func appendVarint(b []byte, v int64) []byte   { return binary.AppendVarint(b, v) }
-
 func appendString(b []byte, s string) []byte {
-	b = appendUvarint(b, uint64(len(s)))
+	b = binary.AppendUvarint(b, uint64(len(s)))
 	return append(b, s...)
 }
 
 func appendStrings(b []byte, ss []string) []byte {
-	b = appendUvarint(b, uint64(len(ss)))
+	b = binary.AppendUvarint(b, uint64(len(ss)))
 	for _, s := range ss {
 		b = appendString(b, s)
 	}
 	return b
 }
 
-func appendWireValue(b []byte, v WireValue) []byte {
-	switch v.K {
-	case "i":
+func appendBool(b []byte, v bool) []byte {
+	if v {
+		return append(b, 1)
+	}
+	return append(b, 0)
+}
+
+func appendValue(b []byte, v mem.Value) []byte {
+	switch v.Kind {
+	case mem.KindInt:
 		b = append(b, tagInt)
-		b = appendVarint(b, v.I)
-	case "f":
+		b = binary.AppendVarint(b, v.I)
+	case mem.KindFloat:
 		b = append(b, tagFloat)
 		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(v.F))
-	case "s":
+	case mem.KindString:
 		b = append(b, tagString)
 		b = appendString(b, v.S)
-	case "b":
+	case mem.KindBool:
 		b = append(b, tagBool)
-		if v.B {
-			b = append(b, 1)
-		} else {
-			b = append(b, 0)
-		}
+		b = appendBool(b, v.B)
 	default:
 		b = append(b, tagNull)
 	}
 	return b
 }
 
-func appendWireRow(b []byte, row []WireValue) []byte {
-	b = appendUvarint(b, uint64(len(row)))
+func appendRow(b []byte, row mem.Row) []byte {
+	b = binary.AppendUvarint(b, uint64(len(row)))
 	for _, v := range row {
-		b = appendWireValue(b, v)
+		b = appendValue(b, v)
 	}
 	return b
 }
 
-func appendLogRecord(b []byte, r *LogRecord) []byte {
-	b = appendVarint(b, r.LSN)
-	b = appendVarint(b, r.TimeNS)
+func appendRecord(b []byte, r *engine.UpdateRecord) []byte {
+	b = binary.AppendVarint(b, r.LSN)
+	b = binary.AppendVarint(b, r.Time.UnixNano())
 	b = appendString(b, r.Table)
-	if r.Op == "DELETE" {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
+	b = appendBool(b, r.Op != engine.OpInsert)
 	b = appendStrings(b, r.Columns)
-	b = appendWireRow(b, r.Row)
-	b = appendVarint(b, r.Trace)
-	b = appendVarint(b, r.Span)
+	b = appendRow(b, r.Row)
+	b = binary.AppendVarint(b, r.Trace)
+	b = binary.AppendVarint(b, r.Span)
 	return b
 }
 
-func appendRequest(b []byte, req *Request) ([]byte, error) {
-	code, ok := opCodes[req.Op]
-	if !ok {
-		return b, fmt.Errorf("wire: binary encode: unknown op %q", req.Op)
-	}
-	b = append(b, code)
+func appendRequest(b []byte, req *Request) []byte {
+	b = append(b, byte(req.Op))
 	b = appendString(b, req.Query)
-	b = appendVarint(b, req.LSN)
-	b = appendVarint(b, req.StmtID)
-	b = appendUvarint(b, uint64(req.WireVersion))
-	b = appendWireRow(b, req.Args)
-	return b, nil
+	b = binary.AppendVarint(b, req.LSN)
+	b = binary.AppendVarint(b, req.StmtID)
+	b = appendRow(b, req.Args)
+	return b
 }
 
-func appendResponse(b []byte, resp *Response) ([]byte, error) {
+func appendResponse(b []byte, resp *Response) []byte {
 	b = appendString(b, resp.Error)
 	b = appendStrings(b, resp.Columns)
-	b = appendUvarint(b, uint64(len(resp.Rows)))
+	b = binary.AppendUvarint(b, uint64(len(resp.Rows)))
 	for _, row := range resp.Rows {
-		b = appendWireRow(b, row)
+		b = appendRow(b, row)
 	}
-	b = appendVarint(b, int64(resp.RowsAffected))
-	b = appendUvarint(b, uint64(len(resp.Records)))
+	b = binary.AppendVarint(b, int64(resp.RowsAffected))
+	b = binary.AppendUvarint(b, uint64(len(resp.Records)))
 	for i := range resp.Records {
-		b = appendLogRecord(b, &resp.Records[i])
+		b = appendRecord(b, &resp.Records[i])
 	}
-	if resp.Truncated {
-		b = append(b, 1)
-	} else {
-		b = append(b, 0)
-	}
-	b = appendVarint(b, resp.NextLSN)
-	b = appendVarint(b, resp.FirstLSN)
-	b = appendVarint(b, resp.StmtID)
-	b = appendVarint(b, int64(resp.NumArgs))
-	b = appendUvarint(b, uint64(resp.WireVersion))
-	return b, nil
+	b = appendBool(b, resp.Truncated)
+	b = binary.AppendVarint(b, resp.NextLSN)
+	b = binary.AppendVarint(b, resp.FirstLSN)
+	b = binary.AppendVarint(b, resp.StmtID)
+	b = binary.AppendVarint(b, int64(resp.NumArgs))
+	return b
 }
 
 // ---- decoding ----
@@ -201,10 +153,22 @@ func (r *breader) u8() (byte, error) {
 	return v, nil
 }
 
+// flag reads a one-byte boolean; any byte but 0 or 1 is corruption.
+func (r *breader) flag() (bool, error) {
+	v, err := r.u8()
+	if err != nil {
+		return false, err
+	}
+	if v > 1 {
+		return false, fmt.Errorf("wire: decode: bad flag byte %d", v)
+	}
+	return v == 1, nil
+}
+
 func (r *breader) uvarint() (uint64, error) {
 	v, n := binary.Uvarint(r.b)
 	if n <= 0 {
-		return 0, fmt.Errorf("wire: binary decode: bad uvarint")
+		return 0, fmt.Errorf("wire: decode: bad uvarint")
 	}
 	r.b = r.b[n:]
 	return v, nil
@@ -213,7 +177,7 @@ func (r *breader) uvarint() (uint64, error) {
 func (r *breader) varint() (int64, error) {
 	v, n := binary.Varint(r.b)
 	if n <= 0 {
-		return 0, fmt.Errorf("wire: binary decode: bad varint")
+		return 0, fmt.Errorf("wire: decode: bad varint")
 	}
 	r.b = r.b[n:]
 	return v, nil
@@ -228,7 +192,7 @@ func (r *breader) count() (int, error) {
 		return 0, err
 	}
 	if v > uint64(len(r.b)) {
-		return 0, fmt.Errorf("wire: binary decode: count %d exceeds frame", v)
+		return 0, fmt.Errorf("wire: decode: count %d exceeds frame", v)
 	}
 	return int(v), nil
 }
@@ -245,11 +209,8 @@ func (r *breader) str() (string, error) {
 
 func (r *breader) strings() ([]string, error) {
 	n, err := r.count()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
-	}
-	if n == 0 {
-		return nil, nil
 	}
 	out := make([]string, n)
 	for i := range out {
@@ -260,53 +221,41 @@ func (r *breader) strings() ([]string, error) {
 	return out, nil
 }
 
-func (r *breader) value() (WireValue, error) {
+func (r *breader) value() (mem.Value, error) {
 	tag, err := r.u8()
 	if err != nil {
-		return WireValue{}, err
+		return mem.Value{}, err
 	}
 	switch tag {
 	case tagNull:
-		return WireValue{K: "n"}, nil
+		return mem.Null(), nil
 	case tagInt:
 		i, err := r.varint()
-		if err != nil {
-			return WireValue{}, err
-		}
-		return WireValue{K: "i", I: i}, nil
+		return mem.Int(i), err
 	case tagFloat:
 		if len(r.b) < 8 {
-			return WireValue{}, io.ErrUnexpectedEOF
+			return mem.Value{}, io.ErrUnexpectedEOF
 		}
 		f := math.Float64frombits(binary.LittleEndian.Uint64(r.b))
 		r.b = r.b[8:]
-		return WireValue{K: "f", F: f}, nil
+		return mem.Float(f), nil
 	case tagString:
 		s, err := r.str()
-		if err != nil {
-			return WireValue{}, err
-		}
-		return WireValue{K: "s", S: s}, nil
+		return mem.Str(s), err
 	case tagBool:
-		v, err := r.u8()
-		if err != nil {
-			return WireValue{}, err
-		}
-		return WireValue{K: "b", B: v != 0}, nil
+		v, err := r.flag()
+		return mem.Bool(v), err
 	default:
-		return WireValue{}, fmt.Errorf("wire: binary decode: unknown value tag %d", tag)
+		return mem.Value{}, fmt.Errorf("wire: decode: unknown value tag %d", tag)
 	}
 }
 
-func (r *breader) row() ([]WireValue, error) {
+func (r *breader) row() (mem.Row, error) {
 	n, err := r.count()
-	if err != nil {
+	if err != nil || n == 0 {
 		return nil, err
 	}
-	if n == 0 {
-		return nil, nil
-	}
-	out := make([]WireValue, n)
+	out := make(mem.Row, n)
 	for i := range out {
 		if out[i], err = r.value(); err != nil {
 			return nil, err
@@ -315,40 +264,38 @@ func (r *breader) row() ([]WireValue, error) {
 	return out, nil
 }
 
-func (r *breader) record() (LogRecord, error) {
-	var rec LogRecord
+func (r *breader) record(rec *engine.UpdateRecord) error {
 	var err error
 	if rec.LSN, err = r.varint(); err != nil {
-		return rec, err
+		return err
 	}
-	if rec.TimeNS, err = r.varint(); err != nil {
-		return rec, err
-	}
-	if rec.Table, err = r.str(); err != nil {
-		return rec, err
-	}
-	opb, err := r.u8()
+	ns, err := r.varint()
 	if err != nil {
-		return rec, err
+		return err
 	}
-	if opb == 1 {
-		rec.Op = "DELETE"
-	} else {
-		rec.Op = "INSERT"
+	rec.Time = time.Unix(0, ns)
+	if rec.Table, err = r.str(); err != nil {
+		return err
+	}
+	del, err := r.flag()
+	if err != nil {
+		return err
+	}
+	rec.Op = engine.OpInsert
+	if del {
+		rec.Op = engine.OpDelete
 	}
 	if rec.Columns, err = r.strings(); err != nil {
-		return rec, err
+		return err
 	}
 	if rec.Row, err = r.row(); err != nil {
-		return rec, err
+		return err
 	}
 	if rec.Trace, err = r.varint(); err != nil {
-		return rec, err
+		return err
 	}
-	if rec.Span, err = r.varint(); err != nil {
-		return rec, err
-	}
-	return rec, nil
+	rec.Span, err = r.varint()
+	return err
 }
 
 func parseRequest(b []byte, req *Request) error {
@@ -357,11 +304,10 @@ func parseRequest(b []byte, req *Request) error {
 	if err != nil {
 		return err
 	}
-	op, ok := opNames[code]
-	if !ok {
-		return fmt.Errorf("wire: binary decode: unknown opcode %d", code)
+	if code < byte(OpQuery) || code > byte(OpSubscribeLog) {
+		return fmt.Errorf("wire: decode: unknown opcode %d", code)
 	}
-	req.Op = op
+	req.Op = Op(code)
 	if req.Query, err = r.str(); err != nil {
 		return err
 	}
@@ -371,16 +317,11 @@ func parseRequest(b []byte, req *Request) error {
 	if req.StmtID, err = r.varint(); err != nil {
 		return err
 	}
-	wv, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	req.WireVersion = int(wv)
 	if req.Args, err = r.row(); err != nil {
 		return err
 	}
 	if len(r.b) != 0 {
-		return fmt.Errorf("wire: binary decode: %d trailing bytes in request", len(r.b))
+		return fmt.Errorf("wire: decode: %d trailing bytes in request", len(r.b))
 	}
 	return nil
 }
@@ -399,7 +340,7 @@ func parseResponse(b []byte, resp *Response) error {
 		return err
 	}
 	if nrows > 0 {
-		resp.Rows = make([][]WireValue, nrows)
+		resp.Rows = make([]mem.Row, nrows)
 		for i := range resp.Rows {
 			if resp.Rows[i], err = r.row(); err != nil {
 				return err
@@ -416,18 +357,16 @@ func parseResponse(b []byte, resp *Response) error {
 		return err
 	}
 	if nrecs > 0 {
-		resp.Records = make([]LogRecord, nrecs)
+		resp.Records = make([]engine.UpdateRecord, nrecs)
 		for i := range resp.Records {
-			if resp.Records[i], err = r.record(); err != nil {
+			if err = r.record(&resp.Records[i]); err != nil {
 				return err
 			}
 		}
 	}
-	tr, err := r.u8()
-	if err != nil {
+	if resp.Truncated, err = r.flag(); err != nil {
 		return err
 	}
-	resp.Truncated = tr != 0
 	if resp.NextLSN, err = r.varint(); err != nil {
 		return err
 	}
@@ -442,151 +381,80 @@ func parseResponse(b []byte, resp *Response) error {
 		return err
 	}
 	resp.NumArgs = int(na)
-	wv, err := r.uvarint()
-	if err != nil {
-		return err
-	}
-	resp.WireVersion = int(wv)
 	if len(r.b) != 0 {
-		return fmt.Errorf("wire: binary decode: %d trailing bytes in response", len(r.b))
+		return fmt.Errorf("wire: decode: %d trailing bytes in response", len(r.b))
 	}
 	return nil
 }
 
 // ---- framing ----
 
-// binaryCodec frames binary payloads on one connection. Reads go through a
-// bufio.Reader (seeded with whatever the JSON decoder had buffered at
-// upgrade time); writes issue one conn.Write per frame from a pooled buffer.
-type binaryCodec struct {
+// codec frames one connection. Both sides of the protocol share it — a
+// client writes requests and reads responses; a server does the reverse.
+// Reads go through a bufio.Reader; writes issue one conn.Write per frame
+// from a pooled buffer.
+type codec struct {
 	r *bufio.Reader
 	w io.Writer
 }
 
-func newBinaryCodec(r io.Reader, w io.Writer) *binaryCodec {
-	return &binaryCodec{r: bufio.NewReaderSize(r, 32<<10), w: w}
+func newCodec(conn net.Conn) *codec {
+	return &codec{r: bufio.NewReaderSize(conn, 32<<10), w: conn}
 }
 
-func (c *binaryCodec) writeFrame(fill func([]byte) ([]byte, error)) error {
+func (c *codec) writeFrame(fill func([]byte) []byte) error {
 	bp := bufPool.Get().(*[]byte)
-	b := append((*bp)[:0], 0, 0, 0, 0)
-	b, err := fill(b)
-	if err == nil {
-		n := len(b) - 4
-		if n > maxFrame {
-			err = fmt.Errorf("wire: frame too large (%d bytes)", n)
-		} else {
-			binary.BigEndian.PutUint32(b[:4], uint32(n))
-			_, err = c.w.Write(b)
-		}
+	b := fill(append((*bp)[:0], 0, 0, 0, 0))
+	var err error
+	if n := len(b) - 4; n > maxFrame {
+		err = fmt.Errorf("wire: frame too large (%d bytes)", n)
+	} else {
+		binary.BigEndian.PutUint32(b[:4], uint32(n))
+		_, err = c.w.Write(b)
 	}
 	*bp = b
 	bufPool.Put(bp)
 	return err
 }
 
-func (c *binaryCodec) readFrame() (*[]byte, []byte, error) {
+// readFrame reads one frame and hands its payload to parse. The length is
+// checked against maxFrame before any buffer is sized, so garbage in the
+// prefix (say, a peer speaking some other protocol) drops the connection
+// without allocating.
+func (c *codec) readFrame(parse func([]byte) error) error {
 	var hdr [4]byte
 	if _, err := io.ReadFull(c.r, hdr[:]); err != nil {
-		return nil, nil, err
+		return err
 	}
 	n := binary.BigEndian.Uint32(hdr[:])
 	if n > maxFrame {
-		return nil, nil, fmt.Errorf("wire: frame length %d exceeds limit", n)
+		return fmt.Errorf("wire: frame length %d exceeds limit", n)
 	}
 	bp := bufPool.Get().(*[]byte)
 	if cap(*bp) < int(n) {
 		*bp = make([]byte, n)
 	}
 	buf := (*bp)[:n]
-	if _, err := io.ReadFull(c.r, buf); err != nil {
-		bufPool.Put(bp)
-		return nil, nil, err
+	_, err := io.ReadFull(c.r, buf)
+	if err == nil {
+		err = parse(buf)
 	}
-	return bp, buf, nil
-}
-
-func (c *binaryCodec) writeRequest(req *Request) error {
-	return c.writeFrame(func(b []byte) ([]byte, error) { return appendRequest(b, req) })
-}
-
-func (c *binaryCodec) writeResponse(resp *Response) error {
-	return c.writeFrame(func(b []byte) ([]byte, error) { return appendResponse(b, resp) })
-}
-
-func (c *binaryCodec) readRequest(req *Request) error {
-	bp, buf, err := c.readFrame()
-	if err != nil {
-		return err
-	}
-	err = parseRequest(buf, req)
 	bufPool.Put(bp)
 	return err
 }
 
-func (c *binaryCodec) readResponse(resp *Response) error {
-	bp, buf, err := c.readFrame()
-	if err != nil {
-		return err
-	}
-	err = parseResponse(buf, resp)
-	bufPool.Put(bp)
-	return err
+func (c *codec) writeRequest(req *Request) error {
+	return c.writeFrame(func(b []byte) []byte { return appendRequest(b, req) })
 }
 
-// connCodec is the codec state bound to one connection: JSON framing from
-// the first byte, swapped for the binary codec after a successful HELLO.
-// Both sides of the protocol share it — a client reads responses and writes
-// requests; a server does the reverse.
-type connCodec struct {
-	conn net.Conn
-	dec  *json.Decoder
-	enc  *json.Encoder
-	bin  *binaryCodec
+func (c *codec) writeResponse(resp *Response) error {
+	return c.writeFrame(func(b []byte) []byte { return appendResponse(b, resp) })
 }
 
-func newConnCodec(conn net.Conn) connCodec {
-	return connCodec{conn: conn, dec: json.NewDecoder(conn), enc: json.NewEncoder(conn)}
+func (c *codec) readRequest(req *Request) error {
+	return c.readFrame(func(b []byte) error { return parseRequest(b, req) })
 }
 
-// upgrade switches the connection to binary framing. Bytes the JSON decoder
-// had already buffered belong to the binary stream now, so they seed the
-// binary reader — minus any leading whitespace, which is the JSON framing's
-// inter-value separator (json.Encoder's trailing newline stays in the peer
-// decoder's buffer after the HELLO frame is decoded).
-func (cc *connCodec) upgrade() {
-	rest, _ := io.ReadAll(cc.dec.Buffered())
-	rest = bytes.TrimLeft(rest, " \t\r\n")
-	cc.bin = newBinaryCodec(io.MultiReader(bytes.NewReader(rest), cc.conn), cc.conn)
-	cc.dec, cc.enc = nil, nil
-}
-
-func (cc *connCodec) binary() bool { return cc.bin != nil }
-
-func (cc *connCodec) writeRequest(req *Request) error {
-	if cc.bin != nil {
-		return cc.bin.writeRequest(req)
-	}
-	return cc.enc.Encode(req)
-}
-
-func (cc *connCodec) readRequest(req *Request) error {
-	if cc.bin != nil {
-		return cc.bin.readRequest(req)
-	}
-	return cc.dec.Decode(req)
-}
-
-func (cc *connCodec) writeResponse(resp *Response) error {
-	if cc.bin != nil {
-		return cc.bin.writeResponse(resp)
-	}
-	return cc.enc.Encode(resp)
-}
-
-func (cc *connCodec) readResponse(resp *Response) error {
-	if cc.bin != nil {
-		return cc.bin.readResponse(resp)
-	}
-	return cc.dec.Decode(resp)
+func (c *codec) readResponse(resp *Response) error {
+	return c.readFrame(func(b []byte) error { return parseResponse(b, resp) })
 }

@@ -1,11 +1,13 @@
 package wire
 
 import (
-	"encoding/json"
 	"math"
 	"reflect"
-	"strings"
 	"testing"
+	"time"
+
+	"repro/internal/engine"
+	"repro/internal/mem"
 )
 
 // fzReader derives protocol messages deterministically from fuzz input, so
@@ -31,6 +33,7 @@ func (r *fzReader) i64() int64 {
 	return int64(v)
 }
 
+// str takes raw input bytes, valid UTF-8 or not.
 func (r *fzReader) str() string {
 	n := int(r.u8()) % 16
 	if n > len(r.b) {
@@ -38,36 +41,31 @@ func (r *fzReader) str() string {
 	}
 	s := string(r.b[:n])
 	r.b = r.b[n:]
-	// JSON replaces invalid UTF-8 with U+FFFD, so identity across codecs
-	// only holds for valid strings; sanitize rather than skip.
-	return strings.ToValidUTF8(s, "�")
+	return s
 }
 
-func (r *fzReader) value() WireValue {
+// value covers every float bit pattern, NaNs and infinities included.
+func (r *fzReader) value() mem.Value {
 	switch r.u8() % 5 {
 	case 0:
-		return WireValue{K: "n"}
+		return mem.Null()
 	case 1:
-		return WireValue{K: "i", I: r.i64()}
+		return mem.Int(r.i64())
 	case 2:
-		f := math.Float64frombits(uint64(r.i64()))
-		if math.IsNaN(f) || math.IsInf(f, 0) {
-			f = 0.5 // JSON cannot carry these; the engine never produces them
-		}
-		return WireValue{K: "f", F: f}
+		return mem.Float(math.Float64frombits(uint64(r.i64())))
 	case 3:
-		return WireValue{K: "s", S: r.str()}
+		return mem.Str(r.str())
 	default:
-		return WireValue{K: "b", B: r.u8()%2 == 1}
+		return mem.Bool(r.u8()%2 == 1)
 	}
 }
 
-func (r *fzReader) row() []WireValue {
+func (r *fzReader) row() mem.Row {
 	n := int(r.u8()) % 5
 	if n == 0 {
 		return nil
 	}
-	out := make([]WireValue, n)
+	out := make(mem.Row, n)
 	for i := range out {
 		out[i] = r.value()
 	}
@@ -86,14 +84,14 @@ func (r *fzReader) strs() []string {
 	return out
 }
 
-func (r *fzReader) record() LogRecord {
-	op := "INSERT"
+func (r *fzReader) record() engine.UpdateRecord {
+	op := engine.OpInsert
 	if r.u8()%2 == 1 {
-		op = "DELETE"
+		op = engine.OpDelete
 	}
-	return LogRecord{
+	return engine.UpdateRecord{
 		LSN:     r.i64(),
-		TimeNS:  r.i64(),
+		Time:    time.Unix(0, r.i64()),
 		Table:   r.str(),
 		Op:      op,
 		Columns: r.strs(),
@@ -103,13 +101,37 @@ func (r *fzReader) record() LogRecord {
 	}
 }
 
-var fzOps = []Op{OpQuery, OpLogSince, OpPing, OpPrepare, OpExecute, OpCloseStmt, OpSubscribeLog, OpHello}
+func sameRows(a, b []mem.Row) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if !sameRow(a[i], b[i]) {
+			return false
+		}
+	}
+	return true
+}
 
-// FuzzBinaryCodecRoundTrip checks three properties of the binary codec:
-// encode→decode is the identity for Request, Response, and LogRecord; the
-// binary and JSON codecs agree on every message (cross-version peers see
-// the same values whichever framing negotiation picked); and the decoder
-// never panics on arbitrary payload bytes.
+func sameRecords(a, b []engine.UpdateRecord) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		x, y := a[i], b[i]
+		if x.LSN != y.LSN || !x.Time.Equal(y.Time) || x.Table != y.Table || x.Op != y.Op ||
+			!reflect.DeepEqual(x.Columns, y.Columns) || !sameRow(x.Row, y.Row) ||
+			x.Trace != y.Trace || x.Span != y.Span {
+			return false
+		}
+	}
+	return true
+}
+
+// FuzzBinaryCodecRoundTrip checks two properties of the codec: encode→decode
+// is the bit-exact identity for Request and Response (records, NaN payloads
+// and invalid UTF-8 included), and the decoder never panics on arbitrary
+// payload bytes.
 func FuzzBinaryCodecRoundTrip(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16})
@@ -118,48 +140,31 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 		r := fzReader{b: data}
 
 		req := Request{
-			Op:          fzOps[int(r.u8())%len(fzOps)],
-			Query:       r.str(),
-			LSN:         r.i64(),
-			StmtID:      r.i64(),
-			Args:        r.row(),
-			WireVersion: int(r.u8()),
-		}
-		buf, err := appendRequest(nil, &req)
-		if err != nil {
-			t.Fatalf("encode request: %v", err)
+			Op:     OpQuery + Op(r.u8())%(OpSubscribeLog-OpQuery+1),
+			Query:  r.str(),
+			LSN:    r.i64(),
+			StmtID: r.i64(),
+			Args:   r.row(),
 		}
 		var reqBack Request
-		if err := parseRequest(buf, &reqBack); err != nil {
+		if err := parseRequest(appendRequest(nil, &req), &reqBack); err != nil {
 			t.Fatalf("decode request: %v", err)
 		}
-		if !reflect.DeepEqual(req, reqBack) {
+		if req.Op != reqBack.Op || req.Query != reqBack.Query || req.LSN != reqBack.LSN ||
+			req.StmtID != reqBack.StmtID || !sameRow(req.Args, reqBack.Args) {
 			t.Fatalf("request roundtrip:\n in  %+v\n out %+v", req, reqBack)
 		}
-		var reqJSON Request
-		jb, err := json.Marshal(req)
-		if err != nil {
-			t.Fatalf("json encode request: %v", err)
-		}
-		if err := json.Unmarshal(jb, &reqJSON); err != nil {
-			t.Fatalf("json decode request: %v", err)
-		}
-		if !reflect.DeepEqual(reqJSON, reqBack) {
-			t.Fatalf("codecs disagree on request:\n json   %+v\n binary %+v", reqJSON, reqBack)
-		}
 
-		nrows := int(r.u8()) % 3
-		var rows [][]WireValue
-		if nrows > 0 {
-			rows = make([][]WireValue, nrows)
+		var rows []mem.Row
+		if n := int(r.u8()) % 3; n > 0 {
+			rows = make([]mem.Row, n)
 			for i := range rows {
 				rows[i] = r.row()
 			}
 		}
-		nrecs := int(r.u8()) % 3
-		var recs []LogRecord
-		if nrecs > 0 {
-			recs = make([]LogRecord, nrecs)
+		var recs []engine.UpdateRecord
+		if n := int(r.u8()) % 3; n > 0 {
+			recs = make([]engine.UpdateRecord, n)
 			for i := range recs {
 				recs[i] = r.record()
 			}
@@ -175,29 +180,17 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 			FirstLSN:     r.i64(),
 			StmtID:       r.i64(),
 			NumArgs:      int(r.u8()),
-			WireVersion:  int(r.u8()),
-		}
-		buf, err = appendResponse(nil, &resp)
-		if err != nil {
-			t.Fatalf("encode response: %v", err)
 		}
 		var respBack Response
-		if err := parseResponse(buf, &respBack); err != nil {
+		if err := parseResponse(appendResponse(nil, &resp), &respBack); err != nil {
 			t.Fatalf("decode response: %v", err)
 		}
+		if !sameRows(resp.Rows, respBack.Rows) || !sameRecords(resp.Records, respBack.Records) {
+			t.Fatalf("response rows/records roundtrip:\n in  %+v\n out %+v", resp, respBack)
+		}
+		resp.Rows, resp.Records, respBack.Rows, respBack.Records = nil, nil, nil, nil
 		if !reflect.DeepEqual(resp, respBack) {
 			t.Fatalf("response roundtrip:\n in  %+v\n out %+v", resp, respBack)
-		}
-		var respJSON Response
-		jb, err = json.Marshal(resp)
-		if err != nil {
-			t.Fatalf("json encode response: %v", err)
-		}
-		if err := json.Unmarshal(jb, &respJSON); err != nil {
-			t.Fatalf("json decode response: %v", err)
-		}
-		if !reflect.DeepEqual(respJSON, respBack) {
-			t.Fatalf("codecs disagree on response:\n json   %+v\n binary %+v", respJSON, respBack)
 		}
 
 		// The decoder must reject or accept arbitrary bytes without panicking

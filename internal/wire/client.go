@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"strings"
 	"sync"
 	"time"
 
@@ -32,11 +31,12 @@ const (
 //
 // The client is fault-tolerant: every roundtrip runs under a read/write
 // deadline, and any encode or decode failure closes the connection outright
-// — a JSON stream that erred mid-frame is desynced, and reusing it would
-// misparse every later response. Subsequent roundtrips transparently redial
-// with capped exponential backoff (plus jitter), so a restarted server is
-// picked up without the caller doing anything; while the backoff window is
-// open, roundtrips fail fast instead of hammering the dead address.
+// — a length-prefixed stream that erred mid-frame has no resync point, and
+// reusing it would misparse every later response. Subsequent roundtrips
+// transparently redial with capped exponential backoff (plus jitter), so a
+// restarted server is picked up without the caller doing anything; while
+// the backoff window is open, roundtrips fail fast instead of hammering the
+// dead address.
 type Client struct {
 	// Timeout is the per-roundtrip I/O deadline (DefaultTimeout when 0;
 	// negative disables deadlines). Set before first use.
@@ -47,24 +47,18 @@ type Client struct {
 	// (DefaultBackoffBase / DefaultMaxBackoff when 0).
 	BackoffBase time.Duration
 	MaxBackoff  time.Duration
-	// Binary asks for the length-prefixed binary framing: the first
-	// roundtrip on each connection sends a HELLO and, if the server agrees,
-	// every later frame is binary. A server that answers HELLO with an
-	// unknown-op error is an old peer; the client then stays on JSON
-	// permanently, like the PREPARE and SUBSCRIBE_LOG fallbacks. Set before
-	// first use.
+	// Binary is ignored: every connection is binary. It remains so that
+	// callers which still set it keep compiling.
 	Binary bool
 
-	mu       sync.Mutex
-	addr     string
-	conn     net.Conn
-	cc       connCodec
-	jsonOnly bool // server predates HELLO: never offer binary again
-	hello    bool // HELLO already attempted on the current connection
-	closed   bool
-	fails    int       // consecutive roundtrip/redial failures
-	retryAt  time.Time // no redial before this instant
-	epoch    uint64    // bumped on every (re)attach; see Stmt
+	mu      sync.Mutex
+	addr    string
+	conn    net.Conn
+	cc      *codec
+	closed  bool
+	fails   int       // consecutive roundtrip/redial failures
+	retryAt time.Time // no redial before this instant
+	epoch   uint64    // bumped on every (re)attach; see Stmt
 }
 
 // Dial connects to a wire server.
@@ -106,15 +100,13 @@ func (c *Client) maxBackoff() time.Duration {
 	return DefaultMaxBackoff
 }
 
-// attach installs conn with fresh codec state (a new decoder drops any
-// buffered bytes from a previous, possibly desynced stream). Each attach
-// starts a new connection epoch: server-side prepared handles are
-// per-connection, so statements prepared under an older epoch must
-// re-prepare before executing.
+// attach installs conn with a fresh codec (a new reader drops any buffered
+// bytes from a previous, possibly desynced stream). Each attach starts a new
+// connection epoch: server-side prepared handles are per-connection, so
+// statements prepared under an older epoch must re-prepare before executing.
 func (c *Client) attach(conn net.Conn) {
 	c.conn = conn
-	c.cc = newConnCodec(conn)
-	c.hello = false
+	c.cc = newCodec(conn)
 	c.epoch++
 }
 
@@ -131,7 +123,7 @@ func (c *Client) dropLocked() {
 	if c.conn != nil {
 		c.conn.Close()
 		c.conn = nil
-		c.cc = connCodec{}
+		c.cc = nil
 	}
 	c.fails++
 	c.retryAt = time.Now().Add(backoff.Delay(c.backoffBase(), c.fails, c.maxBackoff()))
@@ -153,53 +145,6 @@ func (c *Client) reconnectLocked() error {
 	return nil
 }
 
-// negotiateLocked performs the HELLO exchange once per connection when
-// Binary is set. On agreement the connection's codec switches to binary
-// framing; an unknown-op answer marks the server JSON-only for the client's
-// lifetime (an old peer will not grow the op between reconnects). I/O
-// failure drops the connection like any other failed roundtrip. Callers
-// hold c.mu with c.conn live.
-func (c *Client) negotiateLocked() error {
-	if c.hello || !c.Binary || c.jsonOnly || c.cc.binary() {
-		return nil
-	}
-	c.hello = true
-	if t := c.timeout(); t > 0 {
-		c.conn.SetDeadline(time.Now().Add(t))
-	}
-	hello := Request{Op: OpHello, WireVersion: BinaryVersion}
-	if err := c.cc.writeRequest(&hello); err != nil {
-		c.dropLocked()
-		return fmt.Errorf("wire: hello send: %w", err)
-	}
-	var resp Response
-	if err := c.cc.readResponse(&resp); err != nil {
-		c.dropLocked()
-		return fmt.Errorf("wire: hello receive: %w", err)
-	}
-	c.fails = 0
-	if strings.Contains(resp.Error, "unknown op") {
-		// An old server answered the frame cleanly; the connection is still
-		// synced. Fall back to JSON for good.
-		c.jsonOnly = true
-		return nil
-	}
-	if resp.Error == "" && resp.WireVersion >= BinaryVersion {
-		c.cc.upgrade()
-	}
-	// Any other answer (an error, or version 0): stay on JSON for this
-	// connection and offer again after a reconnect.
-	return nil
-}
-
-// UsingBinary reports whether the current connection negotiated binary
-// framing.
-func (c *Client) UsingBinary() bool {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	return c.cc.binary()
-}
-
 func (c *Client) roundTrip(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
@@ -210,9 +155,6 @@ func (c *Client) roundTrip(req Request) (Response, error) {
 		if err := c.reconnectLocked(); err != nil {
 			return Response{}, err
 		}
-	}
-	if err := c.negotiateLocked(); err != nil {
-		return Response{}, err
 	}
 	if t := c.timeout(); t > 0 {
 		c.conn.SetDeadline(time.Now().Add(t))
@@ -239,7 +181,7 @@ func (c *Client) Query(sql string) (*engine.Result, error) {
 	if resp.Error != "" {
 		return nil, errors.New(resp.Error)
 	}
-	return &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected, Rows: decodeRows(resp.Rows)}, nil
+	return &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected, Rows: resp.Rows}, nil
 }
 
 // LogSince pulls update-log records with LSN >= lsn. It returns the records,
@@ -259,12 +201,8 @@ func (c *Client) LogSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error)
 	if resp.Error != "" {
 		return nil, false, 0, errors.New(resp.Error)
 	}
-	recs := make([]engine.UpdateRecord, 0, len(resp.Records))
-	for _, r := range resp.Records {
-		recs = append(recs, DecodeRecord(r))
-	}
 	truncated := resp.Truncated || (resp.FirstLSN > 0 && lsn < resp.FirstLSN)
-	return recs, truncated, resp.NextLSN, nil
+	return resp.Records, truncated, resp.NextLSN, nil
 }
 
 // streamLog opens a SUBSCRIBE_LOG stream at cursor and invokes deliver for
@@ -286,10 +224,6 @@ func (c *Client) streamLog(cursor int64, deliver func(Response)) error {
 			c.mu.Unlock()
 			return err
 		}
-	}
-	if err := c.negotiateLocked(); err != nil {
-		c.mu.Unlock()
-		return err
 	}
 	conn, cc := c.conn, c.cc
 	t := c.timeout()

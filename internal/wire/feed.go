@@ -123,19 +123,18 @@ func (f *LogFeed) deliver(resp Response) {
 	}
 	tr := f.tracer.Load()
 	now := time.Now()
-	for _, r := range resp.Records {
-		rec := DecodeRecord(r)
-		if rec.LSN >= f.next {
-			f.recs = append(f.recs, rec)
-			// feed.deliver: commit to stream delivery on this consumer —
-			// the wire hop of the trace, parented on the commit span.
-			if tr.Recording(rec.Trace) {
-				ctx := tr.Record(trace.Context{Trace: rec.Trace, Span: rec.Span},
-					"feed.deliver", rec.Time, now)
-				rec.Trace, rec.Span = ctx.Trace, ctx.Span
-				f.recs[len(f.recs)-1] = rec
-			}
+	for _, rec := range resp.Records {
+		if rec.LSN < f.next {
+			continue
 		}
+		// feed.deliver: commit to stream delivery on this consumer — the
+		// wire hop of the trace, parented on the commit span.
+		if tr.Recording(rec.Trace) {
+			ctx := tr.Record(trace.Context{Trace: rec.Trace, Span: rec.Span},
+				"feed.deliver", rec.Time, now)
+			rec.Trace, rec.Span = ctx.Trace, ctx.Span
+		}
+		f.recs = append(f.recs, rec)
 	}
 	f.truncated = f.truncated || resp.Truncated
 	if resp.FirstLSN > f.firstLSN {

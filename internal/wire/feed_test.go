@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"fmt"
 	"net"
 	"sync"
@@ -29,25 +28,13 @@ func startFeedServer(t *testing.T, hb time.Duration) (*Server, string) {
 	return s, addr
 }
 
-// startFakeLogServer runs a raw scripted server: serve is invoked per
-// connection with its index and codecs.
-func startFakeLogServer(t *testing.T, serve func(i int, conn net.Conn, dec *json.Decoder, enc *json.Encoder)) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
+// kvRecords returns insert records into kv with LSNs from..to.
+func kvRecords(from, to int64) []engine.UpdateRecord {
+	var recs []engine.UpdateRecord
+	for lsn := from; lsn <= to; lsn++ {
+		recs = append(recs, engine.UpdateRecord{LSN: lsn, Time: time.Unix(0, lsn), Table: "kv", Op: engine.OpInsert})
 	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for i := 0; ; i++ {
-			c, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go serve(i, c, json.NewDecoder(c), json.NewEncoder(c))
-		}
-	}()
-	return ln.Addr().String()
+	return recs
 }
 
 // pullAll drains the feed until want records arrive (or the deadline), and
@@ -148,37 +135,29 @@ func TestLogFeedBackpressureDrainsInOrder(t *testing.T) {
 func TestLogFeedResubscribesFromCursor(t *testing.T) {
 	var mu sync.Mutex
 	var cursors []int64
-	addr := startFakeLogServer(t, func(i int, conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
-		defer conn.Close()
+	addr := startFakeServer(t, func(i int, _ net.Conn, cc *codec) {
 		var req Request
-		if dec.Decode(&req) != nil || req.Op != OpSubscribeLog {
+		if cc.readRequest(&req) != nil || req.Op != OpSubscribeLog {
 			return
 		}
 		mu.Lock()
 		cursors = append(cursors, req.LSN)
 		mu.Unlock()
-		enc.Encode(Response{}) // ack
+		cc.writeResponse(&Response{}) // ack
 		if i == 0 {
 			// Two records, then the connection dies mid-stream.
-			enc.Encode(Response{
-				Records: []LogRecord{{LSN: 1, Table: "kv", Op: "INSERT"}, {LSN: 2, Table: "kv", Op: "INSERT"}},
-				NextLSN: 3, FirstLSN: 1,
-			})
+			cc.writeResponse(&Response{Records: kvRecords(1, 2), NextLSN: 3, FirstLSN: 1})
 			return
 		}
 		// Replacement stream: serve from the requested cursor (so a client
 		// that resumes correctly gets no duplicates), then stay alive on
 		// heartbeats.
-		var recs []LogRecord
-		for lsn := req.LSN; lsn <= 3; lsn++ {
-			recs = append(recs, LogRecord{LSN: lsn, Table: "kv", Op: "INSERT"})
-		}
-		if len(recs) > 0 {
-			enc.Encode(Response{Records: recs, NextLSN: 4, FirstLSN: 1})
+		if recs := kvRecords(req.LSN, 3); len(recs) > 0 {
+			cc.writeResponse(&Response{Records: recs, NextLSN: 4, FirstLSN: 1})
 		}
 		for {
 			time.Sleep(20 * time.Millisecond)
-			if enc.Encode(Response{}) != nil {
+			if cc.writeResponse(&Response{}) != nil {
 				return
 			}
 		}
@@ -215,19 +194,18 @@ func TestLogFeedResubscribesFromCursor(t *testing.T) {
 // is an ordinary stream failure — the feed resubscribes from the same cursor
 // after backoff instead of giving up on the stream.
 func TestLogFeedRetriesErrorFrame(t *testing.T) {
-	addr := startFakeLogServer(t, func(i int, conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
-		defer conn.Close()
+	addr := startFakeServer(t, func(i int, _ net.Conn, cc *codec) {
 		var req Request
-		if dec.Decode(&req) != nil {
+		if cc.readRequest(&req) != nil {
 			return
 		}
 		if i == 0 {
-			enc.Encode(Response{Error: fmt.Sprintf("wire: unknown op %q", req.Op)})
+			cc.writeResponse(&Response{Error: "wire: update log unavailable"})
 			return
 		}
-		enc.Encode(Response{}) // ack
-		enc.Encode(Response{Records: []LogRecord{{LSN: req.LSN, Table: "kv", Op: "INSERT"}}, NextLSN: req.LSN + 1, FirstLSN: 1})
-		for enc.Encode(Response{}) == nil {
+		cc.writeResponse(&Response{}) // ack
+		cc.writeResponse(&Response{Records: kvRecords(req.LSN, req.LSN), NextLSN: req.LSN + 1, FirstLSN: 1})
+		for cc.writeResponse(&Response{}) == nil {
 			time.Sleep(20 * time.Millisecond)
 		}
 	})
@@ -254,15 +232,14 @@ func TestLogFeedRetriesErrorFrame(t *testing.T) {
 // intermediary lost the per-request context), FirstLSN carries the truncation
 // boundary and the client recomputes the flag from it.
 func TestLogSinceRecomputesTruncationFromFirstLSN(t *testing.T) {
-	addr := startFakeLogServer(t, func(i int, conn net.Conn, dec *json.Decoder, enc *json.Encoder) {
-		defer conn.Close()
+	addr := startFakeServer(t, func(_ int, _ net.Conn, cc *codec) {
 		for {
 			var req Request
-			if dec.Decode(&req) != nil {
+			if cc.readRequest(&req) != nil {
 				return
 			}
-			enc.Encode(Response{
-				Records:   []LogRecord{{LSN: 5, Table: "kv", Op: "INSERT"}, {LSN: 6, Table: "kv", Op: "INSERT"}},
+			cc.writeResponse(&Response{
+				Records:   kvRecords(5, 6),
 				Truncated: false, // wrong: records 2..4 are gone
 				NextLSN:   7,
 				FirstLSN:  5,

@@ -8,7 +8,6 @@ import (
 	"time"
 
 	"repro/internal/engine"
-	"repro/internal/mem"
 	"repro/internal/obs"
 )
 
@@ -31,12 +30,6 @@ type Server struct {
 	// (DefaultHeartbeat when 0).
 	HeartbeatInterval time.Duration
 
-	// DisableBinary makes the server answer HELLO with its unknown-op error,
-	// behaving exactly like a pre-binary peer: connections stay on JSON
-	// framing. An operational escape hatch (-wire-binary=false) that doubles
-	// as the old-server simulator in the fallback tests.
-	DisableBinary bool
-
 	mu       sync.Mutex
 	listener net.Listener
 	conns    map[net.Conn]struct{}
@@ -45,11 +38,10 @@ type Server struct {
 	wg       sync.WaitGroup
 
 	// Stats
-	queries     int64
-	prepares    int64
-	executes    int64
-	subscribes  int64
-	binaryConns int64
+	queries    int64
+	prepares   int64
+	executes   int64
+	subscribes int64
 }
 
 // maxConnStmts bounds prepared handles per connection; a client that leaks
@@ -126,37 +118,18 @@ func (s *Server) serveConn(conn net.Conn) {
 		delete(s.conns, conn)
 		s.mu.Unlock()
 	}()
-	cc := newConnCodec(conn)
+	cc := newCodec(conn)
 	cs := &connStmts{stmts: make(map[int64]*engine.PreparedStmt)}
 	for {
 		var req Request
 		if err := cc.readRequest(&req); err != nil {
 			return // client went away or sent garbage; drop the connection
 		}
-		if req.Op == OpHello && !s.DisableBinary {
-			// Negotiate binary framing: answer in JSON, then switch. With
-			// DisableBinary the op falls through to handle's unknown-op
-			// error, indistinguishable from a pre-binary server.
-			resp := Response{WireVersion: BinaryVersion}
-			if req.WireVersion < BinaryVersion {
-				resp.WireVersion = 0 // client too old (or confused): stay JSON
-			}
-			if err := cc.writeResponse(&resp); err != nil {
-				return
-			}
-			if resp.WireVersion >= BinaryVersion {
-				cc.upgrade()
-				s.mu.Lock()
-				s.binaryConns++
-				s.mu.Unlock()
-			}
-			continue
-		}
 		if req.Op == OpSubscribeLog {
 			// The connection is dedicated to the stream from here on; when
 			// the stream ends (either side closes, or a write stalls past its
 			// deadline) the connection is dropped with it.
-			s.serveSubscribe(conn, &cc, req)
+			s.serveSubscribe(conn, cc, req)
 			return
 		}
 		resp := s.handle(req, cs)
@@ -167,13 +140,13 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // serveSubscribe streams update-log batches to one client. The first frame is
-// an empty ack (so the client can distinguish "subscribed" from an old
-// server's unknown-op error before committing to stream mode); after that,
+// an empty ack, so the client learns the stream is open (and resets its
+// reconnect backoff) without waiting for records or a heartbeat; after that,
 // record batches are pushed as they arrive, with empty heartbeat frames when
 // idle. Frames with records carry NextLSN/FirstLSN/Truncated exactly as a
 // LogSince response would; empty frames carry no cursor and must not advance
 // the client's.
-func (s *Server) serveSubscribe(conn net.Conn, cc *connCodec, req Request) {
+func (s *Server) serveSubscribe(conn net.Conn, cc *codec, req Request) {
 	s.mu.Lock()
 	s.subscribes++
 	s.mu.Unlock()
@@ -198,10 +171,7 @@ func (s *Server) serveSubscribe(conn net.Conn, cc *connCodec, req Request) {
 			if !ok {
 				return
 			}
-			resp := Response{Truncated: b.Truncated, NextLSN: b.Next, FirstLSN: b.FirstSeq}
-			for _, r := range b.Recs {
-				resp.Records = append(resp.Records, EncodeRecord(r))
-			}
+			resp := Response{Records: b.Recs, Truncated: b.Truncated, NextLSN: b.Next, FirstLSN: b.FirstSeq}
 			if err := writeFrame(resp); err != nil {
 				return
 			}
@@ -241,19 +211,15 @@ func (s *Server) handle(req Request, cs *connStmts) Response {
 		if d := s.queryDelay(prep.Template().Key); d > 0 {
 			time.Sleep(d)
 		}
-		args := make([]mem.Value, len(req.Args))
-		for i, w := range req.Args {
-			args[i] = DecodeValue(w)
-		}
 		s.mu.Lock()
 		s.queries++
 		s.executes++
 		s.mu.Unlock()
-		res, err := prep.Exec(args)
+		res, err := prep.Exec(req.Args)
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
-		return Response{Columns: res.Columns, RowsAffected: res.RowsAffected, Rows: encodeRows(res.Rows)}
+		return Response{Columns: res.Columns, RowsAffected: res.RowsAffected, Rows: res.Rows}
 	case OpCloseStmt:
 		if _, ok := cs.stmts[req.StmtID]; !ok {
 			return Response{Error: fmt.Sprintf("%s %d", ErrUnknownStmt, req.StmtID)}
@@ -271,19 +237,15 @@ func (s *Server) handle(req Request, cs *connStmts) Response {
 		if err != nil {
 			return Response{Error: err.Error()}
 		}
-		return Response{Columns: res.Columns, RowsAffected: res.RowsAffected, Rows: encodeRows(res.Rows)}
+		return Response{Columns: res.Columns, RowsAffected: res.RowsAffected, Rows: res.Rows}
 	case OpLogSince:
 		// SinceNext observes records, cursor, and truncation context under one
 		// lock acquisition; reading NextLSN separately would race with appends
 		// and hand the client a cursor past records it never received.
 		recs, truncated, next, first := s.DB.Log().SinceNext(req.LSN)
-		resp := Response{Truncated: truncated, NextLSN: next, FirstLSN: first}
-		for _, r := range recs {
-			resp.Records = append(resp.Records, EncodeRecord(r))
-		}
-		return resp
+		return Response{Records: recs, Truncated: truncated, NextLSN: next, FirstLSN: first}
 	default:
-		return Response{Error: fmt.Sprintf("wire: unknown op %q", req.Op)}
+		return Response{Error: fmt.Sprintf("wire: unknown op %d", req.Op)}
 	}
 }
 
@@ -322,14 +284,6 @@ func (s *Server) Subscribes() int64 {
 	return s.subscribes
 }
 
-// BinaryConns returns the number of connections that negotiated binary
-// framing since the server started.
-func (s *Server) BinaryConns() int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.binaryConns
-}
-
 // Conns returns the number of live client connections.
 func (s *Server) Conns() int {
 	s.mu.Lock()
@@ -349,7 +303,6 @@ func (s *Server) Instrument(reg *obs.Registry, prefix string) {
 	reg.GaugeFunc(prefix+".conns", func() int64 { return int64(s.Conns()) })
 	reg.GaugeFunc(prefix+".log_next_lsn", func() int64 { return s.DB.Log().NextLSN() })
 	reg.GaugeFunc(prefix+".subscribes_total", s.Subscribes)
-	reg.GaugeFunc(prefix+".binary_conns_total", s.BinaryConns)
 	reg.GaugeFunc(prefix+".log_subscribers", func() int64 { return int64(s.DB.Log().Hub().Stats().Subscribers) })
 	reg.GaugeFunc(prefix+".log_feed_lag", func() int64 { return s.DB.Log().Hub().Lag() })
 	reg.GaugeFunc(prefix+".stmt_text_hits", func() int64 { return s.DB.StmtCacheStats().TextHits })

@@ -15,32 +15,27 @@ import (
 // was prepared under: the client's transparent redial invalidates server-side
 // handles (they are per-connection), so Exec re-prepares automatically when
 // it notices the connection changed, and once more if the server still
-// reports the handle unknown. Against a server that predates the PREPARE op,
-// Exec falls back to binding the arguments client-side and sending plain
-// QUERY text, so old peers keep working.
+// reports the handle unknown.
 type Stmt struct {
 	c       *Client
 	sql     string
-	parsed  sqlparser.Stmt // template AST for client-side binding fallback
 	numArgs int
 
-	mu       sync.Mutex
-	id       int64
-	epoch    uint64 // connection epoch the handle was prepared under
-	textOnly bool   // server lacks prepare support; always bind client-side
-	closed   bool
+	mu     sync.Mutex
+	id     int64
+	epoch  uint64 // connection epoch the handle was prepared under
+	closed bool
 }
 
 // Prepare compiles sql on the server and returns a reusable handle. The text
-// is also parsed locally — both to fail fast on syntax errors without a
-// network roundtrip, and to retain a bindable template for the old-peer text
-// fallback.
+// is also parsed locally, to fail fast on syntax errors without a network
+// roundtrip and to check the server's argument count.
 func (c *Client) Prepare(sql string) (*Stmt, error) {
 	parsed, err := sqlparser.Parse(sql)
 	if err != nil {
 		return nil, err
 	}
-	s := &Stmt{c: c, sql: sql, parsed: parsed, numArgs: len(sqlparser.Placeholders(parsed))}
+	s := &Stmt{c: c, sql: sql, numArgs: len(sqlparser.Placeholders(parsed))}
 	if err := s.prepareRemote(); err != nil {
 		return nil, err
 	}
@@ -51,21 +46,13 @@ func (c *Client) Prepare(sql string) (*Stmt, error) {
 func (s *Stmt) NumArgs() int { return s.numArgs }
 
 // prepareRemote sends PREPARE and records the handle and connection epoch.
-// A server that answers "unknown op" flips the statement into text-only
-// mode. Callers hold s.mu or have exclusive access to s.
+// Callers hold s.mu or have exclusive access to s.
 func (s *Stmt) prepareRemote() error {
-	if s.textOnly {
-		return nil
-	}
 	resp, err := s.c.roundTrip(Request{Op: OpPrepare, Query: s.sql})
 	if err != nil {
 		return err
 	}
 	if resp.Error != "" {
-		if strings.Contains(resp.Error, "unknown op") {
-			s.textOnly = true
-			return nil
-		}
 		return errors.New(resp.Error)
 	}
 	if resp.NumArgs != s.numArgs {
@@ -86,34 +73,21 @@ func (s *Stmt) Exec(args []mem.Value) (*engine.Result, error) {
 	if len(args) != s.numArgs {
 		return nil, fmt.Errorf("wire: statement wants %d args, got %d", s.numArgs, len(args))
 	}
-	if s.textOnly {
-		return s.execText(args)
-	}
 	if s.epoch != s.c.connEpoch() {
 		// The connection was redialed since we prepared; the server-side
 		// handle died with the old connection.
 		if err := s.prepareRemote(); err != nil {
 			return nil, err
 		}
-		if s.textOnly {
-			return s.execText(args)
-		}
 	}
-	wargs := make([]WireValue, len(args))
-	for i, a := range args {
-		wargs[i] = EncodeValue(a)
-	}
-	resp, err := s.c.roundTrip(Request{Op: OpExecute, StmtID: s.id, Args: wargs})
+	resp, err := s.c.roundTrip(Request{Op: OpExecute, StmtID: s.id, Args: args})
 	if err == nil && strings.Contains(resp.Error, ErrUnknownStmt) {
 		// Raced with a reconnect between the epoch check and the roundtrip,
 		// or the server otherwise dropped the handle: re-prepare once.
 		if err := s.prepareRemote(); err != nil {
 			return nil, err
 		}
-		if s.textOnly {
-			return s.execText(args)
-		}
-		resp, err = s.c.roundTrip(Request{Op: OpExecute, StmtID: s.id, Args: wargs})
+		resp, err = s.c.roundTrip(Request{Op: OpExecute, StmtID: s.id, Args: args})
 	}
 	if err != nil {
 		return nil, err
@@ -121,21 +95,7 @@ func (s *Stmt) Exec(args []mem.Value) (*engine.Result, error) {
 	if resp.Error != "" {
 		return nil, errors.New(resp.Error)
 	}
-	return &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected, Rows: decodeRows(resp.Rows)}, nil
-}
-
-// execText binds args into the parsed template client-side and sends the
-// rendered SQL as a plain QUERY — the compatibility path for old servers.
-func (s *Stmt) execText(args []mem.Value) (*engine.Result, error) {
-	lits := make([]sqlparser.Expr, len(args))
-	for i, a := range args {
-		lits[i] = a.Literal()
-	}
-	bound, err := sqlparser.Bind(s.parsed, lits)
-	if err != nil {
-		return nil, err
-	}
-	return s.c.Query(bound.String())
+	return &engine.Result{Columns: resp.Columns, RowsAffected: resp.RowsAffected, Rows: resp.Rows}, nil
 }
 
 // Close releases the server-side handle. Best-effort: if the connection is
@@ -147,7 +107,7 @@ func (s *Stmt) Close() error {
 		return nil
 	}
 	s.closed = true
-	if s.textOnly || s.epoch != s.c.connEpoch() {
+	if s.epoch != s.c.connEpoch() {
 		return nil
 	}
 	s.c.roundTrip(Request{Op: OpCloseStmt, StmtID: s.id})

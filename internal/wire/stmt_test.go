@@ -1,9 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
-	"fmt"
-	"net"
 	"strings"
 	"testing"
 	"time"
@@ -113,7 +110,7 @@ func TestExecAfterReconnectReprepares(t *testing.T) {
 	// Sever the connection as a network fault would, without arming backoff.
 	c.mu.Lock()
 	c.conn.Close()
-	c.conn, c.cc = nil, connCodec{}
+	c.conn, c.cc = nil, nil
 	c.mu.Unlock()
 	res, err := st.Exec([]mem.Value{mem.Str("b")})
 	if err != nil {
@@ -172,89 +169,5 @@ func TestExecAfterServerRestart(t *testing.T) {
 	}
 	if s2.Prepares() != 1 {
 		t.Fatalf("restarted server prepares = %d, want 1", s2.Prepares())
-	}
-}
-
-// oldServer emulates a peer that predates the prepare verbs: it answers
-// query/ping and rejects everything else with the unknown-op error the real
-// server's default branch produces.
-func oldServer(t *testing.T, db *engine.Database) string {
-	t.Helper()
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(func() { ln.Close() })
-	go func() {
-		for {
-			conn, err := ln.Accept()
-			if err != nil {
-				return
-			}
-			go func(conn net.Conn) {
-				defer conn.Close()
-				dec := json.NewDecoder(conn)
-				enc := json.NewEncoder(conn)
-				for {
-					var req Request
-					if dec.Decode(&req) != nil {
-						return
-					}
-					var resp Response
-					switch req.Op {
-					case OpPing:
-					case OpQuery:
-						res, err := db.ExecSQL(req.Query)
-						if err != nil {
-							resp.Error = err.Error()
-						} else {
-							resp.Columns, resp.RowsAffected = res.Columns, res.RowsAffected
-							for _, r := range res.Rows {
-								resp.Rows = append(resp.Rows, EncodeRow(r))
-							}
-						}
-					default:
-						resp.Error = fmt.Sprintf("wire: unknown op %q", req.Op)
-					}
-					if enc.Encode(resp) != nil {
-						return
-					}
-				}
-			}(conn)
-		}
-	}()
-	return ln.Addr().String()
-}
-
-// Against an old peer, Prepare succeeds (client-side) and Exec falls back to
-// binding locally and sending plain text.
-func TestPrepareFallsBackToTextOnOldServer(t *testing.T) {
-	db := engine.NewDatabase()
-	if _, err := db.ExecScript(`CREATE TABLE kv (k TEXT, v INT); INSERT INTO kv VALUES ('x', 42);`); err != nil {
-		t.Fatal(err)
-	}
-	addr := oldServer(t, db)
-	c, err := Dial(addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer c.Close()
-	st, err := c.Prepare("SELECT v FROM kv WHERE k = $1")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !st.textOnly {
-		t.Fatal("old server not detected")
-	}
-	res, err := st.Exec([]mem.Value{mem.Str("x")})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Rows) != 1 || res.Rows[0][0] != mem.Int(42) {
-		t.Fatalf("rows: %v", res.Rows)
-	}
-	// String args must render as quoted SQL literals on the text path.
-	if _, err := st.Exec([]mem.Value{mem.Str("it's")}); err != nil {
-		t.Fatalf("quoting: %v", err)
 	}
 }

@@ -1,7 +1,6 @@
 package wire
 
 import (
-	"encoding/json"
 	"net"
 	"strings"
 	"testing"
@@ -9,42 +8,30 @@ import (
 )
 
 // TestClientRecoversAfterMidStreamError drives the client against a server
-// whose first connection answers with garbage (a desynced JSON stream). The
+// whose first connection answers with garbage (a desynced stream). The
 // client must fail that roundtrip, drop the connection, and succeed on the
-// next call over a fresh connection — never reuse the poisoned decoder.
+// next call over a fresh connection — never reuse the poisoned reader.
 func TestClientRecoversAfterMidStreamError(t *testing.T) {
-	ln, err := net.Listen("tcp", "127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer ln.Close()
-
-	go func() {
-		// First connection: read the request, answer with non-JSON garbage.
-		c, err := ln.Accept()
-		if err != nil {
-			return
-		}
-		buf := make([]byte, 1024)
-		c.Read(buf)
-		c.Write([]byte("!!not json!!\n"))
-		c.Close()
-
-		// Second connection (the client's redial): behave correctly.
-		c, err = ln.Accept()
-		if err != nil {
-			return
-		}
-		defer c.Close()
-		dec := json.NewDecoder(c)
-		enc := json.NewEncoder(c)
+	addr := startFakeServer(t, func(i int, conn net.Conn, cc *codec) {
 		var req Request
-		if dec.Decode(&req) == nil {
-			enc.Encode(Response{})
+		if cc.readRequest(&req) != nil {
+			return
 		}
-	}()
+		if i == 0 {
+			// First connection: a frame header that promises 5 bytes and a
+			// payload that is not a response.
+			conn.Write([]byte{0, 0, 0, 5, '!', '!', '!', '!', '!'})
+			return
+		}
+		// Later connections (the client's redial): behave correctly.
+		for {
+			if cc.writeResponse(&Response{}) != nil || cc.readRequest(&req) != nil {
+				return
+			}
+		}
+	})
 
-	cl, err := Dial(ln.Addr().String())
+	cl, err := Dial(addr)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -1,6 +1,7 @@
 package wire
 
 import (
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -215,24 +216,33 @@ func TestClientClosedErrors(t *testing.T) {
 
 func TestUnknownOp(t *testing.T) {
 	s := NewServer(engine.NewDatabase())
-	resp := s.handle(Request{Op: "bogus"}, &connStmts{stmts: map[int64]*engine.PreparedStmt{}})
+	resp := s.handle(Request{Op: 0xFF}, &connStmts{stmts: map[int64]*engine.PreparedStmt{}})
 	if resp.Error == "" {
 		t.Fatal("want error for unknown op")
 	}
 }
 
+// TestEncodeDecodeRecord: an update record survives the codec with its
+// time, op, columns, trace context and exotic row values intact.
 func TestEncodeDecodeRecord(t *testing.T) {
 	rec := engine.UpdateRecord{
 		LSN:     7,
 		Time:    time.Unix(100, 5),
-		Table:   "Car",
+		Table:   "Car\xff",
 		Op:      engine.OpDelete,
 		Columns: []string{"a", "b"},
-		Row:     mem.Row{mem.Str("x"), mem.Null()},
+		Row:     exactValues,
+		Trace:   -3,
+		Span:    77,
 	}
-	back := DecodeRecord(EncodeRecord(rec))
+	var back engine.UpdateRecord
+	r := breader{b: appendRecord(nil, &rec)}
+	if err := r.record(&back); err != nil || len(r.b) != 0 {
+		t.Fatalf("decode: %v (%d bytes left)", err, len(r.b))
+	}
 	if back.LSN != rec.LSN || !back.Time.Equal(rec.Time) || back.Table != rec.Table ||
-		back.Op != rec.Op || back.Row[0] != rec.Row[0] || !back.Row[1].IsNull() {
+		back.Op != rec.Op || strings.Join(back.Columns, ",") != "a,b" ||
+		!sameRow(back.Row, rec.Row) || back.Trace != rec.Trace || back.Span != rec.Span {
 		t.Fatalf("roundtrip: %+v", back)
 	}
 }

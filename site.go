@@ -120,11 +120,6 @@ type SiteConfig struct {
 	// restores the per-instance registry scan (identical invalidation
 	// outcomes; A/B measurement and escape hatch).
 	DisablePredIndex bool
-	// DisableWireBinary keeps every wire connection (app-server pools, the
-	// invalidator's poll connections, the update-log stream) on JSON
-	// framing instead of the negotiated binary codec. Identical behavior;
-	// A/B measurement and escape hatch.
-	DisableWireBinary bool
 	// AutoIndex lets the database create hash and ordered indexes from the
 	// WHERE shapes of interned query templates, so the invalidator's
 	// polling queries probe instead of scanning.
@@ -271,7 +266,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 	// All servers share the two logs, so the sniffer sees the whole farm.
 	s.QueryLog = driver.NewQueryLog(0)
 	s.RequestLog = appserver.NewRequestLog(0)
-	netDriver := driver.NetDriver{DisableBinary: cfg.DisableWireBinary}
+	netDriver := driver.NetDriver{}
 	logged := driver.NewLoggingDriver(netDriver, s.QueryLog)
 	nServers := cfg.WebServers
 	if nServers < 1 {
@@ -356,7 +351,6 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		if err != nil {
 			return nil, err
 		}
-		feedClient.Binary = !cfg.DisableWireBinary
 		s.feed = wire.NewLogFeed(feedClient, 1, 0)
 		s.feed.Instrument(cfg.Obs, "feed")
 		s.feed.SetTracer(cfg.Tracer)
@@ -367,7 +361,6 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		if err != nil {
 			return nil, err
 		}
-		logClient.Binary = !cfg.DisableWireBinary
 		puller = invalidator.WireLogPuller{Client: logClient}
 	}
 	closeLog := func() {

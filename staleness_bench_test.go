@@ -15,11 +15,10 @@ import (
 // uniform over the interval plus cycle time. In feed mode the interval is
 // merely the fallback and the update stream fires the cycle, so staleness
 // collapses to the cycle time.
-func benchStalenessSite(b *testing.B, feed, jsonWire bool, tracer *trace.Tracer) *Site {
+func benchStalenessSite(b *testing.B, feed bool, tracer *trace.Tracer) *Site {
 	b.Helper()
 	site, err := NewSite(SiteConfig{
-		Tracer:            tracer,
-		DisableWireBinary: jsonWire,
+		Tracer: tracer,
 		Schema: `
 			CREATE TABLE Car (maker TEXT, model TEXT, price FLOAT);
 			CREATE TABLE Mileage (model TEXT, EPA INT);
@@ -77,24 +76,20 @@ func BenchmarkCommitToEject(b *testing.B) {
 		name   string
 		feed   bool
 		traced bool
-		json   bool
 	}{
-		{"interval", false, false, false},
-		{"feed", true, false, false},
+		{"interval", false, false},
+		{"feed", true, false},
 		// Tracing's worst case: every trace head-sampled, spans on every hop.
 		// The acceptance bar is p95 staleness within 5% of the untraced feed
 		// run (benchjson computes the ratio as "trace_overhead").
-		{"feed-traced", true, true, false},
-		// JSON framing on every wire connection: the pre-binary baseline the
-		// negotiated codec must not regress against (binary p95 <= this).
-		{"feed-json", true, false, true},
+		{"feed-traced", true, true},
 	} {
 		b.Run(mode.name, func(b *testing.B) {
 			var tracer *trace.Tracer
 			if mode.traced {
 				tracer = trace.New(1, trace.DefaultBuffer)
 			}
-			site := benchStalenessSite(b, mode.feed, mode.json, tracer)
+			site := benchStalenessSite(b, mode.feed, tracer)
 			url := site.CacheURL + "/under?price=20000"
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
