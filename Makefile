@@ -16,12 +16,13 @@ test:
 # interleaving, a feed-mode site's freshness rests on the mapper's
 # synchronous log reads, and the wire client's connection state machine
 # (drop and redial with backoff, statement re-prepare, stream resubscribe)
-# is timing-driven too, so these run three more times: a flaky one should
+# and the eject-stream consumer's cursor/epoch state machine are
+# timing-driven too, so these run three more times: a flaky one should
 # show up here, not on someone's laptop.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestRunLoop|TestCycleHelpFirstJoin|TestPoisonedFill|TestSiteFeed|TestMapper' . ./internal/invalidator/ ./internal/webcache/ ./internal/sniffer/
-	$(GO) test -race -count=3 ./internal/balancer/ ./internal/wire/
+	$(GO) test -race -count=3 ./internal/balancer/ ./internal/wire/ ./internal/cluster/
 
 # Fault-tolerance suite under the race detector: the chaos integration
 # tests (full pipeline under injected faults), the invalidator's recovery
@@ -100,7 +101,7 @@ bench-fragment:
 # the manager's flash-crowd replication.
 cluster-smoke:
 	$(GO) test -race -short ./internal/cluster/
-	$(GO) test -race -short -run 'Cluster|Reprobe|ConsistentHash|Resubscribe|Routed' -count=1 . ./internal/webcache/ ./internal/balancer/ ./internal/invalidator/ ./internal/feed/
+	$(GO) test -race -short -run 'Cluster|Reprobe|ConsistentHash|Resubscribe' -count=1 . ./internal/webcache/ ./internal/balancer/ ./internal/feed/
 
 # Flash-crowd comparison on the 3-node cluster behind a round-robin front
 # tier, merged into BENCH_invalidator.json: static single-owner placement
@@ -118,11 +119,11 @@ bench-cluster:
 # suite, then the pipeline assertions — every committed update on a live
 # feed-mode site must yield a complete engine.commit→…→webcache.eject span
 # chain, a forced-sample chaos trace must carry the retry/breaker story
-# behind the staleness exemplar, and HTTP ejects must propagate contexts to
-# the remote cache's tracer.
+# behind the staleness exemplar, and the eject stream must carry contexts to
+# the consuming cache's tracer.
 trace-smoke:
 	$(GO) test -race ./internal/trace/
-	$(GO) test -race -run 'TestTraceSmoke|TestTraceChaosExemplar|TestHTTPEjectorPropagatesTraceContexts' -v . ./internal/invalidator/
+	$(GO) test -race -run 'TestTraceSmoke|TestTraceChaosExemplar|TestStreamEjectorPropagatesTraceContexts' -v . ./internal/invalidator/
 
 # Coverage-guided fuzzing: the SQL parser/printer round-trip and the wire
 # codec (bit-exact encode/decode identity, and no panic on arbitrary bytes).

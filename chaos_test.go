@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/appserver"
+	"repro/internal/cluster"
 	"repro/internal/demoapp"
 	"repro/internal/driver"
 	"repro/internal/engine"
@@ -26,11 +27,11 @@ import (
 // tolerance work: the full Figure-7 topology (DBMS, app server with log
 // export, web cache, remote invalidator) with a seeded fault injector on
 // every invalidation edge — the log-mirror HTTP transport, the update-log
-// puller, and the HTTP ejector. Faults delay, error, drop, and black-hole
-// operations at random; the assertion is the paper's §4.2.4 guarantee: no
-// stale page survives — every update's page is ejected within a bounded
-// number of cycles, and once the faults heal the pipeline is fully caught
-// up. Reproducible from the injector seed.
+// puller, and the eject-stream ejector. Faults delay, error, drop, and
+// black-hole operations at random; the assertion is the paper's §4.2.4
+// guarantee: no stale page survives — every update's page is ejected within
+// a bounded number of cycles, and once the faults heal the pipeline is fully
+// caught up. Reproducible from the injector seed.
 func TestChaosPipelineConverges(t *testing.T) {
 	inj := faults.New(faults.Config{
 		Seed:          7,
@@ -95,14 +96,21 @@ func TestChaosPipelineConverges(t *testing.T) {
 	appHTTP := httptest.NewServer(exporter.Wrap(app))
 	defer appHTTP.Close()
 
+	// Machine 4's eject stream, which machine 3 tails.
+	ejects := cluster.NewEjectLog(0)
+	streamHTTP := httptest.NewServer(ejects.Handler())
+	defer streamHTTP.Close()
+
 	// Machine 3: the web cache.
 	cache := webcache.NewCache(0)
 	cacheHTTP := httptest.NewServer(webcache.NewProxy(appHTTP.URL, cache))
 	defer cacheHTTP.Close()
+	tail := startTail(streamHTTP.URL, cache)
+	defer tail.halt()
 
 	// Machine 4: the invalidator, every edge wrapped with the injector —
 	// faulty HTTP transport under the log mirror, faulty puller over the
-	// wire client, faulty ejector over the HTTP ejector.
+	// wire client, faulty ejector over the stream ejector.
 	mirror := logexport.NewMirror(appHTTP.URL)
 	mirror.Client = &http.Client{
 		Transport: faults.WrapTransport(nil, inj),
@@ -126,7 +134,7 @@ func TestChaosPipelineConverges(t *testing.T) {
 		Puller: faults.Puller{Next: invalidator.WireLogPuller{Client: logClient}, Inj: inj},
 		Poller: pollConn,
 		Ejector: faults.Ejector{
-			Next: invalidator.HTTPEjector{CacheURLs: []string{cacheHTTP.URL}},
+			Next: cluster.StreamEjector{Log: ejects},
 			Inj:  inj,
 		},
 		Obs: reg,
@@ -142,6 +150,7 @@ func TestChaosPipelineConverges(t *testing.T) {
 			return
 		}
 		inv.Cycle()
+		tail.waitCaughtUp(t, ejects)
 	}
 	cycle() // swallow seed-data log records
 

@@ -349,21 +349,3 @@ func TestClusterManagerReplicatesUnderFlashCrowd(t *testing.T) {
 		t.Fatalf("post-replication body %q", body)
 	}
 }
-
-// TestClusterPushEjectsEquivalence: routed HTTP push ejects (the A/B
-// alternative to the stream) also keep the cluster fresh end to end.
-func TestClusterPushEjectsEquivalence(t *testing.T) {
-	site := carClusterSite(t, ClusterConfig{CacheNodes: 3, PushEjects: true})
-	url := site.CacheURL + "/under?price=20000"
-	_, _, key := fetch(t, url)
-	if err := site.Exec("INSERT INTO Car VALUES ('Toyota', 'Avalon', 18000)"); err != nil {
-		t.Fatal(err)
-	}
-	if !site.WaitForInvalidation(key, 5*time.Second) {
-		t.Fatal("routed push eject never invalidated the page")
-	}
-	body, _, _ := fetch(t, url)
-	if !strings.Contains(body, "Avalon") {
-		t.Fatalf("stale after routed eject: %q", body)
-	}
-}

@@ -3,13 +3,14 @@
 // HTTP-request and query logs from the application server at regular
 // intervals, (b) pulls the database update log over the wire protocol,
 // (c) runs the sniffer's request-to-query mapper and the invalidator's
-// analysis/polling pipeline, and (d) sends `Cache-Control: eject` requests
-// to the web caches.
+// analysis/polling pipeline, and (d) appends each eject batch to the
+// cursor-addressed eject stream it serves at /ejects on -debug-addr, which
+// every web cache tails (webcached -eject-stream).
 //
-// Usage (with dbserver, appserver and webcached already running):
+// Usage (with dbserver and appserver running; start webcached with
+// -eject-stream http://127.0.0.1:8071/ejects):
 //
-//	invalidatord -app http://127.0.0.1:8080 -db 127.0.0.1:7000 \
-//	             -cache http://127.0.0.1:8090 -interval 1s
+//	invalidatord -app http://127.0.0.1:8080 -db 127.0.0.1:7000 -interval 1s
 package main
 
 import (
@@ -19,7 +20,6 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
@@ -36,31 +36,38 @@ import (
 func main() {
 	appURL := flag.String("app", "http://127.0.0.1:8080", "application server base URL (log export)")
 	dbAddr := flag.String("db", "127.0.0.1:7000", "dbserver address (update log + polling)")
-	caches := flag.String("cache", "http://127.0.0.1:8090", "comma-separated web cache URLs to eject from")
 	interval := flag.Duration("interval", time.Second, "invalidation cycle interval")
 	pollBudget := flag.Duration("poll-budget", 0, "max polling time per cycle (0 = unbounded)")
 	workers := flag.Int("workers", 0, "evaluation worker pool size (0 = GOMAXPROCS, 1 = sequential)")
 	pollConns := flag.Int("poll-conns", 1, "DB connections for polling queries (>1 polls in parallel)")
-	ejectBatch := flag.Int("eject-batch", 0, "keys per batched eject request (0 = default)")
 	dbTimeout := flag.Duration("db-timeout", 0, "per-roundtrip deadline on the update-log connection (0 = default 10s, <0 = none)")
-	httpTimeout := flag.Duration("http-timeout", 0, "request timeout for log fetch and ejects (0 = default 10s)")
+	httpTimeout := flag.Duration("http-timeout", 0, "request timeout for log fetches and shard-manager probes (0 = default 10s)")
 	feed := flag.Bool("feed", false, "event-driven mode: subscribe to the update-log stream and long-poll the app-server logs; -interval becomes the fallback cadence")
 	predIdx := flag.Bool("pred-index", true, "probe the predicate index for candidate query instances instead of scanning the registry (same invalidations either way)")
 	fragments := flag.Bool("fragments", false, "annotate cycle logs with the fragment-vs-page eject split (the eject machinery itself is key-agnostic; pair with -fragments on webcached and appserver)")
-	peers := flag.String("peers", "", "cache cluster membership as 'id=url,id=url'; ejects are routed to each key's shard owners instead of every cache (empty = fan out to -cache)")
+	peers := flag.String("peers", "", "cache cluster membership as 'id=url,id=url', the nodes -cluster-manage probes")
 	slots := flag.Int("slots", 0, "consistent-hash ring slots (0 = default; must match the webcached cluster)")
-	ejectStreamOn := flag.Bool("eject-stream", false, "serve the cursor-addressed eject stream at /ejects on the debug address instead of pushing ejects to the caches; webcacheds consume it with -eject-stream")
 	ejectRetain := flag.Int("eject-retain", 0, "eject-stream retention in records (0 = default)")
 	clusterManage := flag.Bool("cluster-manage", false, "run the adaptive shard manager: probe the peers' /debug/cluster gauges and add/drop hot-shard replicas (requires -peers)")
 	manageInterval := flag.Duration("manage-interval", time.Second, "shard-manager probe cadence")
 	verbose := flag.Bool("v", false, "log every cycle")
-	debugAddr := flag.String("debug-addr", "127.0.0.1:8071", "address for /debug/metrics and /debug/vars (empty = off)")
+	debugAddr := flag.String("debug-addr", "127.0.0.1:8071", "address for the eject stream (/ejects), /debug/metrics and /debug/vars (required)")
 	withPprof := flag.Bool("pprof", false, "also expose /debug/pprof/ on the debug address")
 	obsLog := flag.Duration("obs-log", 0, "log a metrics snapshot at this interval (0 = never)")
-	traceOn := flag.Bool("trace", false, "record pipeline spans for sampled update records and forward contexts to the caches; serves /debug/trace")
+	traceOn := flag.Bool("trace", false, "record pipeline spans for sampled update records and write their contexts onto the eject stream; serves /debug/trace")
 	traceSample := flag.Int("trace-sample", trace.DefaultSample, "head-sample every Nth trace (<=1 = all; match the dbserver's setting)")
 	traceBuffer := flag.Int("trace-buffer", trace.DefaultBuffer, "span ring-buffer capacity")
 	flag.Parse()
+	if *debugAddr == "" {
+		log.Fatal("invalidatord: -debug-addr is required: it serves the eject stream at /ejects")
+	}
+	nodes, err := cluster.ParsePeers(*peers)
+	if err != nil {
+		log.Fatalf("invalidatord: -peers: %v", err)
+	}
+	if *clusterManage && len(nodes) == 0 {
+		log.Fatal("invalidatord: -cluster-manage requires -peers")
+	}
 
 	var tracer *trace.Tracer
 	if *traceOn {
@@ -119,48 +126,16 @@ func main() {
 	mapper := sniffer.NewMapper(mirror.Requests, mirror.Queries, qiMap)
 	mapper.Obs = reg
 
-	// Cluster-aware ejection: with -peers the shard map narrows each key's
-	// fan-out to its owners; with -eject-stream the ejects are appended to a
-	// cursor-addressed log the caches pull instead of being pushed at all.
-	cacheURLs := strings.Split(*caches, ",")
-	var view *cluster.View
-	if *peers != "" {
-		nodes, err := cluster.ParsePeers(*peers)
-		if err != nil {
-			log.Fatalf("invalidatord: -peers: %v", err)
-		}
-		view = cluster.NewView(cluster.NewMap(*slots, nodes))
-		// The peer list names the cache nodes; it supersedes -cache so the
-		// router's owner URLs and the fallback full fan-out list agree.
-		cacheURLs = make([]string, len(nodes))
-		for i, n := range nodes {
-			cacheURLs[i] = n.URL
-		}
-	}
-	var ejectLog *cluster.EjectLog
-	var ejector invalidator.Ejector
-	if *ejectStreamOn {
-		ejectLog = cluster.NewEjectLog(*ejectRetain)
-		ejector = cluster.StreamEjector{Log: ejectLog}
-	} else {
-		he := invalidator.HTTPEjector{
-			CacheURLs: cacheURLs,
-			Client:    httpClient,
-			MaxBatch:  *ejectBatch,
-			Obs:       reg,
-		}
-		if view != nil {
-			he.Router = cluster.Router{View: view}
-		}
-		ejector = he
-	}
+	// Every eject batch is appended to the stream; each webcached tails it
+	// from its own cursor.
+	ejectLog := cluster.NewEjectLog(*ejectRetain)
 
 	inv := invalidator.New(invalidator.Config{
 		Map:        qiMap,
 		Mapper:     mapper,
 		Puller:     puller,
 		Poller:     poller,
-		Ejector:    ejector,
+		Ejector:    cluster.StreamEjector{Log: ejectLog},
 		PollBudget: *pollBudget,
 		Workers:    *workers,
 		Obs:        reg,
@@ -169,35 +144,25 @@ func main() {
 		DisablePredIndex: !*predIdx,
 	})
 
-	fmt.Printf("invalidatord: app=%s db=%s caches=%s interval=%s\n",
-		*appURL, *dbAddr, *caches, *interval)
+	fmt.Printf("invalidatord: app=%s db=%s interval=%s\n", *appURL, *dbAddr, *interval)
 
 	stop := make(chan struct{})
-	if *debugAddr != "" {
-		dbg := obs.ServeWith(*debugAddr, reg, *withPprof, func(err error) {
-			log.Printf("invalidatord: debug server: %v", err)
-		}, func(mux *http.ServeMux) {
-			mux.Handle("/debug/trace", trace.Handler(tracer))
-			if ejectLog != nil {
-				mux.Handle("/ejects", ejectLog.Handler())
-			}
-		})
-		defer dbg.Close()
-		fmt.Printf("invalidatord: debug endpoints on http://%s/debug/metrics\n", *debugAddr)
-		if ejectLog != nil {
-			fmt.Printf("invalidatord: eject stream on http://%s/ejects\n", *debugAddr)
-		}
-	} else if ejectLog != nil {
-		log.Fatal("invalidatord: -eject-stream needs -debug-addr to serve /ejects")
-	}
+	dbg := obs.ServeWith(*debugAddr, reg, *withPprof, func(err error) {
+		// The caches' only way to hear of an invalidation is this server.
+		log.Fatalf("invalidatord: debug server: %v", err)
+	}, func(mux *http.ServeMux) {
+		mux.Handle("/debug/trace", trace.Handler(tracer))
+		mux.Handle("/ejects", ejectLog.Handler())
+	})
+	defer dbg.Close()
+	fmt.Printf("invalidatord: debug endpoints on http://%s/debug/metrics\n", *debugAddr)
+	fmt.Printf("invalidatord: eject stream on http://%s/ejects\n", *debugAddr)
 	if *clusterManage {
-		if view == nil {
-			log.Fatal("invalidatord: -cluster-manage requires -peers")
+		probes := make([]cluster.Probe, len(nodes))
+		for i, n := range nodes {
+			probes[i] = cluster.HTTPProbe{URL: n.URL, Client: httpClient}
 		}
-		probes := make([]cluster.Probe, len(cacheURLs))
-		for i, u := range cacheURLs {
-			probes[i] = cluster.HTTPProbe{URL: u, Client: httpClient}
-		}
+		view := cluster.NewView(cluster.NewMap(*slots, nodes))
 		mgr := &cluster.Manager{View: view, Probes: probes, Obs: reg}
 		go mgr.Run(*manageInterval, stop)
 	}

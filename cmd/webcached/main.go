@@ -1,11 +1,13 @@
 // Command webcached runs the dynamic-content web cache: a caching reverse
 // proxy honouring `Cache-Control: private, owner="cacheportal"` for storage
 // and `Cache-Control: eject` for invalidation (the NetCache box of the
-// paper's Configuration III).
+// paper's Configuration III). With -eject-stream it tails invalidatord's
+// eject stream, which is how the invalidator's ejects reach it.
 //
 // Usage:
 //
-//	webcached -listen :8090 -origin http://127.0.0.1:8080 -capacity 10000
+//	webcached -listen :8090 -origin http://127.0.0.1:8080 -capacity 10000 \
+//	          -eject-stream http://127.0.0.1:8071/ejects
 package main
 
 import (
@@ -31,13 +33,13 @@ func main() {
 	nodeID := flag.String("node-id", "", "this node's identity in the cache cluster (required with -peers)")
 	peers := flag.String("peers", "", "cluster membership as 'id=url,id=url' including this node (empty = single-node, byte-identical to before)")
 	slots := flag.Int("slots", 0, "consistent-hash ring slots (0 = default; must match across the cluster)")
-	ejectStream := flag.String("eject-stream", "", "invalidator eject-stream URL to consume with cursor resume (e.g. http://127.0.0.1:8071/ejects; empty = expect pushed ejects)")
+	ejectStream := flag.String("eject-stream", "", "invalidatord's eject-stream URL to consume with cursor resume (e.g. http://127.0.0.1:8071/ejects; empty = only Cache-Control: eject requests invalidate)")
 	cookieAllow := flag.String("cookie-allow", "", "per-servlet cookie allowlist for cache keys, e.g. 'home=session,search=' (listed servlets key only on the named cookies; others keep keying on all)")
 	statsEvery := flag.Duration("stats", 0, "print stats at this interval (0 = never)")
 	debugAddr := flag.String("debug-addr", "127.0.0.1:8091", "address for /debug/metrics and /debug/vars (empty = off)")
 	withPprof := flag.Bool("pprof", false, "also expose /debug/pprof/ on the debug address")
 	obsLog := flag.Duration("obs-log", 0, "log a metrics snapshot at this interval (0 = never)")
-	traceOn := flag.Bool("trace", false, "close pipeline traces arriving on eject requests (X-Cacheportal-Trace); serves /debug/trace")
+	traceOn := flag.Bool("trace", false, "close the pipeline traces the eject stream names with terminal webcache.eject spans; serves /debug/trace")
 	traceSample := flag.Int("trace-sample", trace.DefaultSample, "head-sample every Nth trace (<=1 = all)")
 	traceBuffer := flag.Int("trace-buffer", trace.DefaultBuffer, "span ring-buffer capacity")
 	flag.Parse()
@@ -45,7 +47,7 @@ func main() {
 	var tracer *trace.Tracer
 	if *traceOn {
 		tracer = trace.New(*traceSample, *traceBuffer)
-		// Eject requests name traces the invalidator already chose to
+		// Stream records name traces the invalidator already chose to
 		// record; this tracer's own head sampling must not drop them.
 		tracer.SetForceAll(true)
 	}
@@ -61,7 +63,6 @@ func main() {
 	}
 	cache.Instrument(reg, metricsPrefix)
 	proxy := webcache.NewProxy(*origin, cache)
-	proxy.Tracer = tracer
 	proxy.Fragments = *fragments
 
 	var node *webcache.ClusterNode
@@ -84,8 +85,13 @@ func main() {
 	if *ejectStream != "" {
 		consumer := &cluster.Consumer{
 			URL:   *ejectStream,
-			Apply: func(keys []string) { cache.InvalidateMany(keys) },
-			Clear: cache.Clear,
+			Apply: webcache.StreamApplier(cache, tracer),
+			Clear: func() {
+				// Rare and it drops every page (a clear record, a lag past
+				// retention or an invalidatord restart): worth a log line.
+				log.Printf("webcached: eject stream: clearing %d pages", cache.Len())
+				cache.Clear()
+			},
 			OnError: func(err error) {
 				log.Printf("webcached: eject stream: %v", err)
 			},

@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"repro/internal/appserver"
+	"repro/internal/cluster"
 	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/invalidator"
@@ -24,7 +25,8 @@ import (
 // application server (with HTTP log export), web cache (reverse proxy),
 // and the invalidator — communicating only over the network: logs fetched
 // over HTTP, the update log pulled over the wire protocol, polling queries
-// over the wire protocol, invalidations delivered as HTTP eject requests.
+// over the wire protocol, invalidations delivered over the eject stream the
+// invalidator serves and the web cache tails.
 func TestDistributedFigure7Deployment(t *testing.T) {
 	// Machine 1: the DBMS.
 	db := engine.NewDatabase()
@@ -76,10 +78,17 @@ func TestDistributedFigure7Deployment(t *testing.T) {
 	appHTTP := httptest.NewServer(exporter.Wrap(app))
 	defer appHTTP.Close()
 
+	// Machine 4's eject stream, which machine 3 tails.
+	ejects := cluster.NewEjectLog(0)
+	streamHTTP := httptest.NewServer(ejects.Handler())
+	defer streamHTTP.Close()
+
 	// Machine 3: the web cache.
 	cache := webcache.NewCache(0)
 	cacheHTTP := httptest.NewServer(webcache.NewProxy(appHTTP.URL, cache))
 	defer cacheHTTP.Close()
+	tail := startTail(streamHTTP.URL, cache)
+	defer tail.halt()
 
 	// Machine 4: invalidatord — mirror + mapper + invalidator, all remote.
 	mirror := logexport.NewMirror(appHTTP.URL)
@@ -100,7 +109,7 @@ func TestDistributedFigure7Deployment(t *testing.T) {
 		Mapper:  mapper,
 		Puller:  invalidator.WireLogPuller{Client: logClient},
 		Poller:  pollConn,
-		Ejector: invalidator.HTTPEjector{CacheURLs: []string{cacheHTTP.URL}},
+		Ejector: cluster.StreamEjector{Log: ejects},
 	})
 	cycle := func() invalidator.Report {
 		t.Helper()
@@ -111,6 +120,7 @@ func TestDistributedFigure7Deployment(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		tail.waitCaughtUp(t, ejects)
 		return rep
 	}
 	cycle() // swallow seed-data log records
@@ -147,7 +157,7 @@ func TestDistributedFigure7Deployment(t *testing.T) {
 	}
 
 	// Relevant insert: poll over the wire finds Avalon's mileage row, the
-	// HTTP eject lands on the cache machine.
+	// eject reaches the cache machine over the stream.
 	if _, err := db.ExecSQL("INSERT INTO Car VALUES ('Toyota', 'Avalon', 25000)"); err != nil {
 		t.Fatal(err)
 	}
@@ -161,8 +171,10 @@ func TestDistributedFigure7Deployment(t *testing.T) {
 	}
 }
 
-// TestDistributedMultipleCaches verifies the invalidator fans ejects out to
-// several caches (front-end + edge caches in the paper's Figure 1).
+// TestDistributedMultipleCaches: several caches (front-end + edge caches
+// in the paper's Figure 1) each tail the one eject stream. Every eject
+// reaches every cache; a cache whose consumer stops blocks nobody else and
+// catches up on everything it missed when it resumes.
 func TestDistributedMultipleCaches(t *testing.T) {
 	origin := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
 		w.Header().Set("X-Cacheportal-Key", "k1")
@@ -170,56 +182,120 @@ func TestDistributedMultipleCaches(t *testing.T) {
 		fmt.Fprint(w, "content")
 	}))
 	defer origin.Close()
+	ejects := cluster.NewEjectLog(0)
+	streamHTTP := httptest.NewServer(ejects.Handler())
+	defer streamHTTP.Close()
 
 	var caches []*webcache.Cache
 	var urls []string
+	var tails []*streamTail
 	for i := 0; i < 3; i++ {
 		c := webcache.NewCache(0)
 		caches = append(caches, c)
 		srv := httptest.NewServer(webcache.NewProxy(origin.URL, c))
 		defer srv.Close()
 		urls = append(urls, srv.URL)
-		// Warm each cache.
-		resp, err := http.Get(srv.URL + "/page")
-		if err != nil {
-			t.Fatal(err)
-		}
-		resp.Body.Close()
+		tail := startTail(streamHTTP.URL, c)
+		defer tail.halt()
+		tails = append(tails, tail)
 	}
-	for i, c := range caches {
-		if c.Len() != 1 {
-			t.Fatalf("cache %d not warmed", i)
+	warm := func() {
+		t.Helper()
+		for i, u := range urls {
+			resp, err := http.Get(u + "/page")
+			if err != nil {
+				t.Fatal(err)
+			}
+			resp.Body.Close()
+			if caches[i].Len() != 1 {
+				t.Fatalf("cache %d not warmed", i)
+			}
 		}
 	}
+	ej := cluster.StreamEjector{Log: ejects}
 
-	ej := invalidator.HTTPEjector{CacheURLs: urls}
+	warm()
 	if err := ej.Eject([]string{"k1"}); err != nil {
 		t.Fatal(err)
 	}
-	for i, c := range caches {
-		if c.Len() != 0 {
+	for i, tail := range tails {
+		tail.waitCaughtUp(t, ejects)
+		if caches[i].Len() != 0 {
 			t.Fatalf("cache %d not ejected", i)
 		}
 	}
 
-	// Partial failure: one dead cache produces an error but the rest still
-	// get the eject.
-	dead := httptest.NewServer(http.HandlerFunc(func(http.ResponseWriter, *http.Request) {}))
-	dead.Close()
-	for _, u := range urls {
-		resp, _ := http.Get(u + "/page")
-		if resp != nil {
-			resp.Body.Close()
+	// Cache 0 drops off the stream: the others still get the next eject.
+	tails[0].halt()
+	warm()
+	if err := ej.Eject([]string{"k1"}); err != nil {
+		t.Fatal(err)
+	}
+	for i := 1; i < len(tails); i++ {
+		tails[i].waitCaughtUp(t, ejects)
+		if caches[i].Len() != 0 {
+			t.Fatalf("cache %d missed the eject while cache 0 was down", i)
 		}
 	}
-	ej = invalidator.HTTPEjector{CacheURLs: append([]string{dead.URL}, urls...)}
-	if err := ej.Eject([]string{"k1"}); err == nil {
-		t.Fatal("want error from dead cache")
+	if caches[0].Len() != 1 {
+		t.Fatal("stopped cache 0 applied an eject")
 	}
-	for i, c := range caches {
-		if c.Len() != 0 {
-			t.Fatalf("cache %d missed eject despite dead peer", i)
+	// On resume it catches up from its cursor.
+	tails[0].resume()
+	tails[0].waitCaughtUp(t, ejects)
+	if caches[0].Len() != 0 {
+		t.Fatal("resumed cache 0 did not catch up on the missed eject")
+	}
+	if n := tails[0].c.Cleared(); n != 0 {
+		t.Fatalf("resumed cache 0 cleared %d times; a cursor resume needs none", n)
+	}
+}
+
+// streamTail tails an eject stream into a cache over HTTP, as
+// cmd/webcached -eject-stream does; halt and resume drop it off the stream
+// and bring it back at its cursor.
+type streamTail struct {
+	c          *cluster.Consumer
+	stop, done chan struct{}
+}
+
+func startTail(url string, cache *webcache.Cache) *streamTail {
+	s := &streamTail{c: &cluster.Consumer{
+		URL:   url,
+		Wait:  50 * time.Millisecond,
+		Apply: webcache.StreamApplier(cache, nil),
+		Clear: cache.Clear,
+	}}
+	s.resume()
+	return s
+}
+
+func (s *streamTail) resume() {
+	s.stop, s.done = make(chan struct{}), make(chan struct{})
+	go func(stop, done chan struct{}) {
+		s.c.Run(stop)
+		close(done)
+	}(s.stop, s.done)
+}
+
+func (s *streamTail) halt() {
+	if s.stop == nil {
+		return
+	}
+	close(s.stop)
+	<-s.done
+	s.stop = nil
+}
+
+// waitCaughtUp blocks until the consumer has applied every record in log.
+func (s *streamTail) waitCaughtUp(t *testing.T, log *cluster.EjectLog) {
+	t.Helper()
+	deadline := time.Now().Add(5 * time.Second)
+	for s.c.Cursor() < log.NextSeq() {
+		if time.Now().After(deadline) {
+			t.Fatalf("eject consumer stuck at cursor %d, head %d", s.c.Cursor(), log.NextSeq())
 		}
+		time.Sleep(time.Millisecond)
 	}
 }
 

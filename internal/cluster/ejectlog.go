@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math/rand/v2"
 	"net/http"
 	"strconv"
 	"sync"
@@ -13,15 +14,18 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/httpx"
+	"repro/internal/trace"
 )
 
-// The eject stream replaces per-cache HTTP pushes with a feed: the
-// invalidator appends each eject batch to an EjectLog and every cache node
-// long-polls it from its own cursor. A replica that drops and rejoins
-// catches up from where it left off instead of serving permanently stale
-// pages; one that lags past the retention window sees the truncation
-// signal in-band and falls back to the conservative recovery every other
-// log in this system uses — clear everything, re-warm from the origin.
+// The eject stream is how invalidations leave the invalidator for every
+// other cache process: the invalidator appends each eject batch to an
+// EjectLog and every cache node long-polls it from its own cursor. A
+// replica that drops and rejoins catches up from where it left off instead
+// of serving permanently stale pages; one that lags past the retention
+// window sees the truncation signal in-band and falls back to the
+// conservative recovery every other log in this system uses — clear
+// everything, re-warm from the origin. A restarted invalidator starts a
+// new log under a new epoch, which its consumers treat the same way.
 
 // DefaultEjectRetain bounds how many eject records the log keeps for
 // resuming consumers. At the default eject batch size this covers hundreds
@@ -35,16 +39,22 @@ const DefaultStreamMaxWait = 25 * time.Second
 
 // EjectRecord is one entry of the eject stream: a batch of cache keys to
 // invalidate, or a whole-cache clear (the invalidator's conservative
-// recovery, which must reach replicas too).
+// recovery, which must reach replicas too). Traces lists the batch's
+// distinct pipeline trace contexts (trace.FormatContexts), so each
+// consuming cache can close those traces with its terminal eject span.
 type EjectRecord struct {
-	Seq   int64    `json:"seq"`
-	Keys  []string `json:"keys,omitempty"`
-	Clear bool     `json:"clear,omitempty"`
+	Seq    int64    `json:"seq"`
+	Keys   []string `json:"keys,omitempty"`
+	Clear  bool     `json:"clear,omitempty"`
+	Traces string   `json:"traces,omitempty"`
 }
 
 // EjectLog is the append-only, bounded-retention eject stream. Sequences
-// are dense and start at 1, like every cursor-addressed log here.
+// are dense and start at 1, like every cursor-addressed log here; the
+// epoch, drawn at random per log, tells a consumer that the sequences it
+// holds a cursor into belong to a log that no longer exists.
 type EjectLog struct {
+	epoch   int64
 	mu      sync.Mutex
 	recs    []EjectRecord
 	first   int64 // seq of recs[0]; == next when empty
@@ -59,7 +69,11 @@ func NewEjectLog(retain int) *EjectLog {
 	if retain <= 0 {
 		retain = DefaultEjectRetain
 	}
-	return &EjectLog{first: 1, next: 1, retain: retain, changed: make(chan struct{})}
+	epoch := rand.Int64()
+	for epoch == 0 { // 0 is a consumer's "no epoch seen yet"
+		epoch = rand.Int64()
+	}
+	return &EjectLog{epoch: epoch, first: 1, next: 1, retain: retain, changed: make(chan struct{})}
 }
 
 // Append adds an eject batch and returns its sequence.
@@ -124,12 +138,14 @@ func (l *EjectLog) NextSeq() int64 {
 }
 
 // streamPage is the stream handler's JSON shape, mirroring the log
-// exporter's pages: records plus resume/truncation context.
+// exporter's pages: records plus resume/truncation context and the log's
+// epoch.
 type streamPage struct {
 	Records   []EjectRecord `json:"records"`
 	Truncated bool          `json:"truncated"`
 	Next      int64         `json:"next"`
 	First     int64         `json:"first"`
+	Epoch     int64         `json:"epoch"`
 }
 
 // Handler serves the stream over HTTP: GET ?cursor=N&wait=DUR returns all
@@ -186,24 +202,37 @@ func (l *EjectLog) Handler() http.Handler {
 			}
 		}
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(streamPage{Records: recs, Truncated: trunc, Next: next, First: first})
+		json.NewEncoder(w).Encode(streamPage{Records: recs, Truncated: trunc, Next: next, First: first, Epoch: l.epoch})
 	})
 }
 
-// StreamEjector adapts the log to the invalidator's Ejector/BulkEjector
-// shape: ejects are appended to the stream for the cache nodes to consume,
-// instead of being pushed to each cache. Appends cannot fail, so the
-// invalidator's retry/breaker machinery never triggers on this edge;
-// delivery failures become consumer lag instead.
+// StreamEjector adapts the log to the invalidator's Ejector, TracedEjector
+// and BulkEjector shapes: ejects are appended to the stream for the cache
+// nodes to consume. Appends cannot fail, so the invalidator's
+// retry/breaker machinery never triggers on this edge; delivery failures
+// become consumer lag instead.
 type StreamEjector struct {
 	Log *EjectLog
 }
 
 // Eject implements the invalidator's Ejector.
-func (e StreamEjector) Eject(keys []string) error {
-	if len(keys) > 0 {
-		e.Log.Append(keys)
+func (e StreamEjector) Eject(keys []string) error { return e.EjectTraced(keys, nil) }
+
+// EjectTraced implements the invalidator's TracedEjector: the batch's
+// distinct trace contexts, in key order, ride the record's Traces field.
+func (e StreamEjector) EjectTraced(keys []string, ctxs map[string]trace.Context) error {
+	if len(keys) == 0 {
+		return nil
 	}
+	var list []trace.Context
+	seen := make(map[int64]bool, len(ctxs))
+	for _, k := range keys {
+		if ctx, ok := ctxs[k]; ok && ctx.Valid() && !seen[ctx.Trace] {
+			seen[ctx.Trace] = true
+			list = append(list, ctx)
+		}
+	}
+	e.Log.append(EjectRecord{Keys: append([]string(nil), keys...), Traces: trace.FormatContexts(list)})
 	return nil
 }
 
@@ -219,15 +248,19 @@ func (e StreamEjector) EjectAll() error {
 // the cursor only after applying — so a consumer stopped and restarted at
 // its cursor misses nothing. A truncated response (the log dropped records
 // we had not seen) triggers Clear: with ejects lost, clearing everything
-// is the only way back to freshness.
+// is the only way back to freshness. So does a page from a different log
+// than the cursor was taken in — a new epoch, or a head below the cursor,
+// as when the invalidator restarted: the consumer clears once and re-reads
+// the new log from its oldest record.
 type Consumer struct {
 	// URL is the stream endpoint (EjectLog.Handler's mount).
 	URL string
 	// Client performs the long polls; its timeout must exceed Wait.
 	// httpx.Default (10s) when nil.
 	Client *http.Client
-	// Apply invalidates a batch of keys in the local cache (required).
-	Apply func(keys []string)
+	// Apply invalidates a batch of keys in the local cache (required);
+	// traces is the record's Traces field.
+	Apply func(keys []string, traces string)
 	// Clear flushes the local cache — truncation recovery (required).
 	Clear func()
 	// Wait is the server-side long-poll wait per request (default 5s).
@@ -239,6 +272,7 @@ type Consumer struct {
 	cursor  atomic.Int64
 	applied atomic.Int64
 	cleared atomic.Int64
+	epoch   int64 // the log the cursor belongs to; 0 until the first page
 }
 
 // Cursor returns the resume cursor: the sequence after the last applied
@@ -297,6 +331,17 @@ func (c *Consumer) Run(stop <-chan struct{}) {
 			continue
 		}
 		failures = 0
+		if (page.Epoch != 0 && c.epoch != 0 && page.Epoch != c.epoch) || page.Next < c.Cursor() {
+			// The cursor indexes a log that is gone: whatever it lost in
+			// between cannot be replayed, so clear and start over at the
+			// new log's oldest record.
+			c.epoch = page.Epoch
+			c.Clear()
+			c.cleared.Add(1)
+			c.cursor.Store(page.First)
+			continue
+		}
+		c.epoch = page.Epoch
 		if page.Truncated {
 			c.Clear()
 			c.cleared.Add(1)
@@ -306,7 +351,7 @@ func (c *Consumer) Run(stop <-chan struct{}) {
 				c.Clear()
 				c.cleared.Add(1)
 			} else if len(rec.Keys) > 0 {
-				c.Apply(rec.Keys)
+				c.Apply(rec.Keys, rec.Traces)
 				c.applied.Add(1)
 			}
 		}

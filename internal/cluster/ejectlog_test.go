@@ -1,11 +1,15 @@
 package cluster
 
 import (
+	"net/http"
 	"net/http/httptest"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/trace"
 )
 
 func TestEjectLogSinceAndRetention(t *testing.T) {
@@ -60,7 +64,7 @@ func TestStreamHandlerLongPoll(t *testing.T) {
 	c := &Consumer{URL: srv.URL, Wait: 2 * time.Second}
 	var mu sync.Mutex
 	var got []string
-	c.Apply = func(keys []string) {
+	c.Apply = func(keys []string, _ string) {
 		mu.Lock()
 		got = append(got, keys...)
 		mu.Unlock()
@@ -130,7 +134,7 @@ func TestConsumerCursorResume(t *testing.T) {
 
 	var mu sync.Mutex
 	var got []string
-	apply := func(keys []string) { mu.Lock(); got = append(got, keys...); mu.Unlock() }
+	apply := func(keys []string, _ string) { mu.Lock(); got = append(got, keys...); mu.Unlock() }
 	first := &Consumer{URL: srv.URL, Wait: 50 * time.Millisecond, Apply: apply, Clear: func() {}}
 	run(first)
 	if !reflect.DeepEqual(got, []string{"a", "b"}) {
@@ -161,7 +165,7 @@ func TestConsumerTruncationClears(t *testing.T) {
 	c := &Consumer{
 		URL:   srv.URL,
 		Wait:  50 * time.Millisecond,
-		Apply: func([]string) {},
+		Apply: func([]string, string) {},
 		Clear: func() {
 			select {
 			case cleared <- struct{}{}:
@@ -188,6 +192,74 @@ func TestConsumerTruncationClears(t *testing.T) {
 	}
 }
 
+// TestConsumerRewindOnNewLog: the invalidator behind the stream URL
+// restarts, so a fresh log (new epoch, sequences from 1 again) answers a
+// consumer whose cursor is past the new head. The consumer must clear once
+// — ejects appended between the two logs are lost to it — and then apply
+// every record of the new log, instead of waiting for the new log to pass
+// its old cursor.
+func TestConsumerRewindOnNewLog(t *testing.T) {
+	var current atomic.Pointer[EjectLog]
+	current.Store(NewEjectLog(0))
+	srv := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		current.Load().Handler().ServeHTTP(w, r)
+	}))
+	defer srv.Close()
+	for i := 0; i < 9; i++ {
+		current.Load().Append([]string{"old"})
+	}
+
+	var mu sync.Mutex
+	var got []string
+	c := &Consumer{
+		URL:  srv.URL,
+		Wait: 50 * time.Millisecond,
+		Apply: func(keys []string, _ string) {
+			mu.Lock()
+			got = append(got, keys...)
+			mu.Unlock()
+		},
+		Clear: func() {},
+	}
+	stop := make(chan struct{})
+	done := make(chan struct{})
+	go func() { c.Run(stop); close(done) }()
+	defer func() { close(stop); <-done }()
+	waitFor := func(what string, ok func() bool) {
+		t.Helper()
+		deadline := time.Now().Add(3 * time.Second)
+		for !ok() {
+			if time.Now().After(deadline) {
+				t.Fatalf("%s: cursor %d, cleared %d", what, c.Cursor(), c.Cleared())
+			}
+			time.Sleep(5 * time.Millisecond)
+		}
+	}
+	waitFor("old log consumed", func() bool { return c.Cursor() == 10 })
+	if c.Cleared() != 0 {
+		t.Fatalf("cleared %d times on the first log", c.Cleared())
+	}
+
+	fresh := NewEjectLog(0)
+	current.Store(fresh)
+	fresh.Append([]string{"new1"})
+	waitFor("new log's first record applied", func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		return len(got) == 10
+	})
+	fresh.Append([]string{"new2"})
+	waitFor("new log consumed", func() bool { return c.Cursor() == fresh.NextSeq() })
+	mu.Lock()
+	defer mu.Unlock()
+	if want := []string{"new1", "new2"}; !reflect.DeepEqual(got[9:], want) {
+		t.Fatalf("applied %v from the new log, want %v", got[9:], want)
+	}
+	if c.Cleared() != 1 {
+		t.Fatalf("cleared %d times across the restart, want exactly 1", c.Cleared())
+	}
+}
+
 func TestStreamEjector(t *testing.T) {
 	l := NewEjectLog(0)
 	e := StreamEjector{Log: l}
@@ -200,15 +272,27 @@ func TestStreamEjector(t *testing.T) {
 	if err := e.EjectAll(); err != nil {
 		t.Fatal(err)
 	}
+	// A traced batch carries its distinct contexts in key order.
+	ctxs := map[string]trace.Context{
+		"k1": {Trace: 41, Span: 7},
+		"k2": {Trace: 43, Span: 9},
+		"k3": {Trace: 41, Span: 7},
+	}
+	if err := e.EjectTraced([]string{"k1", "k2", "k3", "k4"}, ctxs); err != nil {
+		t.Fatal(err)
+	}
 	recs, _, next, _ := l.Since(1)
 	// The empty eject must not have appended a record.
-	if len(recs) != 2 || next != 3 {
+	if len(recs) != 3 || next != 4 {
 		t.Fatalf("log has %d records, next=%d", len(recs), next)
 	}
-	if !reflect.DeepEqual(recs[0].Keys, []string{"x"}) || recs[0].Clear {
+	if !reflect.DeepEqual(recs[0].Keys, []string{"x"}) || recs[0].Clear || recs[0].Traces != "" {
 		t.Fatalf("rec 1 = %+v", recs[0])
 	}
 	if !recs[1].Clear {
 		t.Fatalf("rec 2 = %+v, want clear", recs[1])
+	}
+	if recs[2].Traces != "41:7,43:9" || len(recs[2].Keys) != 4 {
+		t.Fatalf("rec 3 = %+v, want traces \"41:7,43:9\" on 4 keys", recs[2])
 	}
 }

@@ -301,29 +301,6 @@ func (v *View) Install(m *Map) bool {
 	return true
 }
 
-// Router routes cache keys to the URLs of the nodes that may hold them —
-// the invalidator's HTTPEjector plugs this in so a routed eject probes
-// only the key's owners instead of fanning to every cache.
-type Router struct {
-	View *View
-}
-
-// URLsFor returns the owner URLs for a key's slot, primary first. Empty
-// when the map routes nothing (the caller should fall back to fanning
-// everywhere).
-func (rt Router) URLsFor(key string) []string {
-	m := rt.View.Map()
-	if m == nil {
-		return nil
-	}
-	owners := m.Owners(m.Slot(RouteKey(key)))
-	out := make([]string, len(owners))
-	for i, n := range owners {
-		out[i] = n.URL
-	}
-	return out
-}
-
 // ParsePeers parses a -peers flag value of the form "id=url,id=url" into
 // a node list, sorted by ID so every daemon derives the same map no matter
 // how its flag happened to order the peers.

@@ -163,25 +163,6 @@ func TestViewVersionGate(t *testing.T) {
 	}
 }
 
-func TestRouterURLsFor(t *testing.T) {
-	m := NewMap(8, nodes("n1", "n2"))
-	view := NewView(m)
-	rt := Router{View: view}
-	key := "example.com/app/home?g:user=1"
-	urls := rt.URLsFor(key)
-	if len(urls) != 1 {
-		t.Fatalf("URLsFor = %v, want one owner", urls)
-	}
-	slot := m.Slot(RouteKey(key))
-	if want := "http://" + m.Slots[slot].Primary; urls[0] != want {
-		t.Fatalf("URLsFor = %v, want %q", urls, want)
-	}
-	// All spellings of the page route to the same URL set.
-	if got := rt.URLsFor("example.com/app/home!frag=hot"); !reflect.DeepEqual(got, urls) {
-		t.Fatalf("fragment key routed to %v, page key to %v", got, urls)
-	}
-}
-
 func TestParsePeers(t *testing.T) {
 	got, err := ParsePeers("n2=http://b:2/, n1=http://a:1")
 	if err != nil {

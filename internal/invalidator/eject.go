@@ -1,23 +1,17 @@
 package invalidator
 
 import (
-	"errors"
-	"net/http"
-	"sort"
-	"sync"
 	"time"
 
-	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/webcache"
 )
 
 // Ejector delivers invalidation messages to caches (§4.2.4).
 type Ejector interface {
-	// Eject invalidates the pages with the given cache keys. Partial
-	// failure returns an error; the invalidator will retry the keys next
-	// cycle (they stay queued). Errors implementing KeyedEjectError narrow
-	// the retry to the keys that actually failed.
+	// Eject invalidates the pages with the given cache keys. Any error
+	// means the whole batch stays queued and is retried next cycle
+	// (ejection is idempotent, so re-ejecting accepted keys is harmless).
 	Eject(keys []string) error
 }
 
@@ -25,48 +19,18 @@ type Ejector interface {
 // trace contexts alongside the keys: ctxs maps a key to the context of the
 // update that invalidated it (keys without recording traces are absent).
 // The in-process CacheEjector records the terminal webcache.eject span
-// itself; the HTTPEjector forwards the contexts in the X-Cacheportal-Trace
-// header so the remote cache daemon closes the trace. Semantics are
-// otherwise identical to Eject.
+// itself; cluster.StreamEjector writes the contexts onto the eject stream
+// so each consuming cache closes the trace. Semantics are otherwise
+// identical to Eject.
 type TracedEjector interface {
 	Ejector
 	EjectTraced(keys []string, ctxs map[string]trace.Context) error
-}
-
-// KeyedEjectError is implemented by Eject errors that know which keys
-// failed, so a partially failed eject retries only those instead of the
-// whole batch. Ejection is idempotent, so retrying a failed key against a
-// cache that already accepted it is harmless.
-type KeyedEjectError interface {
-	error
-	FailedKeys() []string
 }
 
 // BulkEjector is implemented by ejectors that can flush an entire cache —
 // the recovery path when log loss makes precise invalidation impossible.
 type BulkEjector interface {
 	EjectAll() error
-}
-
-// PartialEjectError reports an eject that failed for some keys. Err joins
-// every underlying per-cache/per-batch error (errors.Join); Keys lists the
-// distinct keys still requiring ejection.
-type PartialEjectError struct {
-	Keys []string
-	Err  error
-}
-
-// Error implements error.
-func (e *PartialEjectError) Error() string { return "invalidator: eject: " + e.Err.Error() }
-
-// Unwrap exposes the joined per-cache errors.
-func (e *PartialEjectError) Unwrap() error { return e.Err }
-
-// FailedKeys implements KeyedEjectError. The returned slice is a copy.
-func (e *PartialEjectError) FailedKeys() []string {
-	out := make([]string, len(e.Keys))
-	copy(out, e.Keys)
-	return out
 }
 
 // CacheEjector invalidates an in-process web cache directly. With a Tracer
@@ -100,244 +64,6 @@ func (e CacheEjector) EjectTraced(keys []string, ctxs map[string]trace.Context) 
 func (e CacheEjector) EjectAll() error {
 	e.Cache.Clear()
 	return nil
-}
-
-// DefaultEjectBatch is how many keys an HTTPEjector packs into one
-// `Cache-Control: eject` request when MaxBatch is unset.
-const DefaultEjectBatch = 256
-
-// HTTPEjector sends `Cache-Control: eject` requests to one or more cache
-// endpoints (front-end, proxy, or edge caches). Keys are packed into
-// batched eject requests (MaxBatch per message) and the caches are
-// notified concurrently, so invalidating k pages across n caches costs
-// ⌈k/MaxBatch⌉ sequential round trips instead of k×n.
-type HTTPEjector struct {
-	CacheURLs []string
-	// Client defaults to the shared timeout-bearing client (httpx.Default),
-	// so a hung cache cannot wedge the invalidation cycle.
-	Client *http.Client
-	// MaxBatch caps keys per eject request (default DefaultEjectBatch).
-	MaxBatch int
-	// Router, when set, narrows the fan-out: each key is sent only to the
-	// cache URLs that may hold it (the cluster shard map's owners) instead
-	// of to every cache. Keys the router cannot place fall back to the
-	// full CacheURLs list, and EjectAll always reaches every cache —
-	// routing is an optimization, never a correctness risk.
-	Router KeyRouter
-	// Obs, when set, records eject fan-out telemetry: per-batch round-trip
-	// time ("ejector.batch_seconds"), whole-call fan-out time
-	// ("ejector.fanout_seconds"), and batch/key/failure totals.
-	Obs *obs.Registry
-}
-
-// KeyRouter maps a cache key to the cache endpoints that may hold it.
-// cluster.Router implements this over the shard map's view.
-type KeyRouter interface {
-	URLsFor(key string) []string
-}
-
-// Eject implements Ejector: every key is ejected from every cache. All
-// per-cache errors are collected (errors.Join); the returned
-// PartialEjectError names exactly the keys in failed batches, so the
-// invalidator retries those alone.
-func (e HTTPEjector) Eject(keys []string) error { return e.eject(keys, nil) }
-
-// EjectTraced implements TracedEjector: each batch request carries its
-// keys' trace contexts in the X-Cacheportal-Trace header, so the cache
-// daemon on the far side records the terminal webcache.eject spans in its
-// own tracer with the originating trace IDs.
-func (e HTTPEjector) EjectTraced(keys []string, ctxs map[string]trace.Context) error {
-	return e.eject(keys, ctxs)
-}
-
-func (e HTTPEjector) eject(keys []string, ctxs map[string]trace.Context) error {
-	if len(keys) == 0 {
-		return nil
-	}
-	batch := e.MaxBatch
-	if batch <= 0 {
-		batch = DefaultEjectBatch
-	}
-	// Group keys by destination. Without a Router every cache gets every
-	// key (the original full fan-out); with one, each key goes only to its
-	// owners, and unroutable keys widen back to every cache.
-	perURL := make(map[string][]string, len(e.CacheURLs))
-	if e.Router == nil {
-		for _, url := range e.CacheURLs {
-			perURL[url] = keys
-		}
-	} else {
-		for _, k := range keys {
-			urls := e.Router.URLsFor(k)
-			if len(urls) == 0 {
-				urls = e.CacheURLs
-			}
-			for _, u := range urls {
-				perURL[u] = append(perURL[u], k)
-			}
-		}
-	}
-	urls := make([]string, 0, len(perURL))
-	for u := range perURL {
-		urls = append(urls, u)
-	}
-	sort.Strings(urls)
-
-	// Resolved once per Eject call: ejects ride the cycle cadence, not the
-	// request path, so the registry lookups here are cheap enough.
-	var batchLat, fanoutLat *obs.Histogram
-	var batchesSent, keysSent, batchFails *obs.Counter
-	if e.Obs != nil {
-		batchLat = e.Obs.Histogram("ejector.batch_seconds")
-		fanoutLat = e.Obs.Histogram("ejector.fanout_seconds")
-		batchesSent = e.Obs.Counter("ejector.batches_total")
-		keysSent = e.Obs.Counter("ejector.keys_total")
-		batchFails = e.Obs.Counter("ejector.batch_failures_total")
-	}
-	fanoutStart := time.Now()
-
-	type failure struct {
-		err  error
-		keys []string
-	}
-	fails := make([][]failure, len(urls))
-	var wg sync.WaitGroup
-	wg.Add(len(urls))
-	for i, url := range urls {
-		go func(i int, url string, toSend []string) {
-			defer wg.Done()
-			for start := 0; start < len(toSend); start += batch {
-				end := start + batch
-				if end > len(toSend) {
-					end = len(toSend)
-				}
-				chunk := toSend[start:end]
-				t0 := time.Now()
-				err := webcache.EjectKeysTraced(e.Client, url, chunk, chunkTraceHeader(chunk, ctxs))
-				if batchLat != nil {
-					batchLat.ObserveDuration(time.Since(t0))
-					batchesSent.Inc()
-					keysSent.Add(int64(len(chunk)))
-				}
-				if err != nil {
-					if batchFails != nil {
-						batchFails.Inc()
-					}
-					fails[i] = append(fails[i], failure{err: err, keys: chunk})
-				}
-			}
-		}(i, url, perURL[url])
-	}
-	wg.Wait()
-	if fanoutLat != nil {
-		fanoutLat.ObserveDuration(time.Since(fanoutStart))
-	}
-
-	var errs []error
-	failed := make(map[string]bool)
-	for _, perCache := range fails {
-		for _, f := range perCache {
-			errs = append(errs, f.err)
-			for _, k := range f.keys {
-				failed[k] = true
-			}
-		}
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	out := make([]string, 0, len(failed))
-	for k := range failed {
-		out = append(out, k)
-	}
-	sort.Strings(out)
-	return &PartialEjectError{Keys: out, Err: errors.Join(errs...)}
-}
-
-// chunkTraceHeader renders the distinct trace contexts of a chunk's keys,
-// in key order ("" when there is nothing to propagate).
-func chunkTraceHeader(chunk []string, ctxs map[string]trace.Context) string {
-	if len(ctxs) == 0 {
-		return ""
-	}
-	var list []trace.Context
-	seen := make(map[int64]bool)
-	for _, k := range chunk {
-		if ctx, ok := ctxs[k]; ok && ctx.Valid() && !seen[ctx.Trace] {
-			seen[ctx.Trace] = true
-			list = append(list, ctx)
-		}
-	}
-	return trace.FormatContexts(list)
-}
-
-// EjectAll implements BulkEjector: every cache is flushed, Router or not —
-// the conservative recovery must reach every node that might hold a page.
-func (e HTTPEjector) EjectAll() error {
-	var errs []error
-	for _, url := range e.CacheURLs {
-		if err := webcache.EjectAll(e.Client, url); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// MultiEjector fans out to several ejectors.
-type MultiEjector []Ejector
-
-// Eject implements Ejector, joining every sub-ejector's error. When every
-// failing sub-ejector reports its failed keys, the joined error narrows
-// the retry set to their union; one opaque failure widens it back to all
-// keys. The widened error still wraps a PartialEjectError naming every key
-// (rather than the bare join) so that errors.As cannot reach a nested,
-// too-narrow key list from a sibling sub-ejector.
-func (m MultiEjector) Eject(keys []string) error { return m.eject(keys, nil) }
-
-// EjectTraced implements TracedEjector, forwarding the contexts to every
-// sub-ejector that understands them.
-func (m MultiEjector) EjectTraced(keys []string, ctxs map[string]trace.Context) error {
-	return m.eject(keys, ctxs)
-}
-
-func (m MultiEjector) eject(keys []string, ctxs map[string]trace.Context) error {
-	var errs []error
-	failed := make(map[string]bool)
-	opaque := false
-	for _, e := range m {
-		var err error
-		if te, ok := e.(TracedEjector); ok && len(ctxs) > 0 {
-			err = te.EjectTraced(keys, ctxs)
-		} else {
-			err = e.Eject(keys)
-		}
-		if err == nil {
-			continue
-		}
-		errs = append(errs, err)
-		var ke KeyedEjectError
-		if errors.As(err, &ke) {
-			for _, k := range ke.FailedKeys() {
-				failed[k] = true
-			}
-		} else {
-			opaque = true
-		}
-	}
-	if len(errs) == 0 {
-		return nil
-	}
-	joined := errors.Join(errs...)
-	var out []string
-	if opaque {
-		out = append(out, keys...)
-	} else {
-		for k := range failed {
-			out = append(out, k)
-		}
-	}
-	sort.Strings(out)
-	return &PartialEjectError{Keys: dedupeSorted(out), Err: joined}
 }
 
 // FuncEjector adapts a function.

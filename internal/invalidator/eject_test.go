@@ -3,47 +3,9 @@ package invalidator
 import (
 	"errors"
 	"fmt"
-	"net/http"
-	"net/http/httptest"
 	"reflect"
-	"sort"
-	"sync/atomic"
 	"testing"
-
-	"repro/internal/webcache"
 )
-
-// TestEjectPartialFailureRetriesOnlyFailed: when the ejector reports which
-// keys failed (KeyedEjectError), the accepted keys are finished that cycle
-// and only the failures are queued for retry.
-func TestEjectPartialFailureRetriesOnlyFailed(t *testing.T) {
-	h := newHarness(t, carSchema)
-	h.page("url1", "SELECT maker FROM Car WHERE price > 20000")
-	h.page("url2", "SELECT model FROM Car WHERE price > 20000")
-	h.page("url3", "SELECT price FROM Car WHERE price > 20000")
-	h.ejectErr = &PartialEjectError{Keys: []string{"url2"}, Err: errors.New("cache 2 down")}
-	h.exec(t, "INSERT INTO Car VALUES ('Lexus', 'LS', 60000)")
-	rep := h.cycle(t)
-	if rep.EjectErr == nil {
-		t.Fatal("cycle should surface the eject error")
-	}
-	if rep.Invalidated != 2 {
-		t.Fatalf("accepted keys should count as invalidated: %d", rep.Invalidated)
-	}
-	if got := h.inv.pending; !reflect.DeepEqual(got, []string{"url2"}) {
-		t.Fatalf("pending should hold only the failed key: %v", got)
-	}
-
-	// Next cycle (no new updates) retries exactly the failed key.
-	h.ejectErr = nil
-	rep = h.cycle(t)
-	if got := h.ejectedSorted(); !reflect.DeepEqual(got, []string{"url2"}) {
-		t.Fatalf("retry ejected %v, want [url2]", got)
-	}
-	if rep.Invalidated != 1 || len(h.inv.pending) != 0 {
-		t.Fatalf("retry should finish the key: invalidated=%d pending=%v", rep.Invalidated, h.inv.pending)
-	}
-}
 
 // TestPendingRetryListBounded: repeated eject failures must not grow the
 // retry list — keys are deduplicated across cycles.
@@ -86,107 +48,5 @@ func TestPendingDropsUnregisteredPages(t *testing.T) {
 	h.cycle(t)
 	if got := h.ejectedSorted(); !reflect.DeepEqual(got, []string{"url2"}) {
 		t.Fatalf("retry should skip the unregistered page: ejected %v", got)
-	}
-}
-
-// TestHTTPEjectorBatchedFanout: keys are chunked into batch requests, every
-// cache is notified, and a cache that fails some batches yields a
-// KeyedEjectError naming exactly the keys of the failed batches.
-func TestHTTPEjectorBatchedFanout(t *testing.T) {
-	cache := webcache.NewCacheSharded(0, 4)
-	var keys []string
-	for i := 0; i < 250; i++ {
-		k := fmt.Sprintf("page-%03d", i)
-		cache.Put(&webcache.Entry{Key: k, Body: []byte("x")})
-		keys = append(keys, k)
-	}
-	good := httptest.NewServer(webcache.NewProxy("", cache))
-	defer good.Close()
-
-	var badCalls atomic.Int64
-	bad := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
-		if badCalls.Add(1) == 1 {
-			http.Error(w, "boom", http.StatusInternalServerError)
-			return
-		}
-		w.WriteHeader(http.StatusOK)
-	}))
-	defer bad.Close()
-
-	ej := HTTPEjector{CacheURLs: []string{good.URL, bad.URL}, MaxBatch: 100}
-	err := ej.Eject(keys)
-
-	// The good cache processed every batch: all 250 pages gone.
-	if cache.Len() != 0 {
-		t.Fatalf("good cache still holds %d pages", cache.Len())
-	}
-	// The bad cache failed its first batch (keys 0..99) only.
-	var ke KeyedEjectError
-	if !errors.As(err, &ke) {
-		t.Fatalf("want KeyedEjectError, got %v", err)
-	}
-	failed := ke.FailedKeys()
-	sort.Strings(failed)
-	if !reflect.DeepEqual(failed, keys[:100]) {
-		t.Fatalf("failed keys: got %d keys [%s..%s], want first batch of 100",
-			len(failed), failed[0], failed[len(failed)-1])
-	}
-	if got := badCalls.Load(); got != 3 {
-		t.Fatalf("bad cache saw %d batch requests, want 3", got)
-	}
-}
-
-// TestHTTPEjectorAllCachesHealthy: no error, single round of batches.
-func TestHTTPEjectorAllCachesHealthy(t *testing.T) {
-	c1 := webcache.NewCache(0)
-	c2 := webcache.NewCache(0)
-	for i := 0; i < 10; i++ {
-		k := fmt.Sprintf("k%d", i)
-		c1.Put(&webcache.Entry{Key: k})
-		c2.Put(&webcache.Entry{Key: k})
-	}
-	s1 := httptest.NewServer(webcache.NewProxy("", c1))
-	defer s1.Close()
-	s2 := httptest.NewServer(webcache.NewProxy("", c2))
-	defer s2.Close()
-	ej := HTTPEjector{CacheURLs: []string{s1.URL, s2.URL}}
-	if err := ej.Eject([]string{"k0", "k3", "k9", "nope"}); err != nil {
-		t.Fatal(err)
-	}
-	if c1.Len() != 7 || c2.Len() != 7 {
-		t.Fatalf("lens: %d %d, want 7 7", c1.Len(), c2.Len())
-	}
-}
-
-// TestMultiEjectorKeyUnion: when every failing sub-ejector names its failed
-// keys, the joined error narrows the retry set to their union; one opaque
-// failure widens it back to everything.
-func TestMultiEjectorKeyUnion(t *testing.T) {
-	failA := FuncEjector(func([]string) error {
-		return &PartialEjectError{Keys: []string{"a"}, Err: errors.New("ea")}
-	})
-	failB := FuncEjector(func([]string) error {
-		return &PartialEjectError{Keys: []string{"b"}, Err: errors.New("eb")}
-	})
-	ok := FuncEjector(func([]string) error { return nil })
-
-	err := MultiEjector{failA, ok, failB}.Eject([]string{"a", "b", "c"})
-	var ke KeyedEjectError
-	if !errors.As(err, &ke) {
-		t.Fatalf("want KeyedEjectError, got %v", err)
-	}
-	if got := ke.FailedKeys(); !reflect.DeepEqual(got, []string{"a", "b"}) {
-		t.Fatalf("union: %v", got)
-	}
-
-	opaque := FuncEjector(func([]string) error { return errors.New("???") })
-	err = MultiEjector{failA, opaque}.Eject([]string{"a", "b", "c"})
-	if !errors.As(err, &ke) {
-		t.Fatalf("want KeyedEjectError, got %v", err)
-	}
-	// The opaque failure widens the retry set to every key — crucially,
-	// errors.As must not surface failA's narrower nested key list.
-	if got := ke.FailedKeys(); !reflect.DeepEqual(got, []string{"a", "b", "c"}) {
-		t.Fatalf("opaque failure must widen the retry set to all keys: %v", got)
 	}
 }

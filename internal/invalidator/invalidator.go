@@ -1,7 +1,6 @@
 package invalidator
 
 import (
-	"errors"
 	"runtime"
 	"sort"
 	"strconv"
@@ -748,8 +747,8 @@ func (inv *Invalidator) clearPending() {
 }
 
 // ejectImpacted is the eject step of a cycle that impacted at least one
-// page: it sends the keys, finishes the ones every cache accepted, and
-// rebuilds the retry list (and the breaker state) from the ones that failed.
+// page: it sends the keys and finishes them, or, when the eject fails,
+// queues them all for retry (and advances the breaker state).
 func (inv *Invalidator) ejectImpacted(impacted map[string]pageImpact, rep *Report) {
 	tr := inv.cfg.Tracer
 	keys := make([]string, 0, len(impacted))
@@ -786,8 +785,8 @@ func (inv *Invalidator) ejectImpacted(impacted map[string]pageImpact, rep *Repor
 	}
 	// ejectCtxs maps each key with a recording trace to its context; the
 	// ejector propagates them downstream (CacheEjector records the
-	// terminal webcache.eject span, HTTPEjector ships them in the
-	// X-Cacheportal-Trace header so the remote cache can).
+	// terminal webcache.eject span, StreamEjector writes them onto the
+	// eject stream so each consuming cache can).
 	var ejectCtxs map[string]trace.Context
 	if tr != nil {
 		for _, k := range keys {
@@ -815,26 +814,8 @@ func (inv *Invalidator) ejectImpacted(impacted map[string]pageImpact, rep *Repor
 	if err != nil {
 		rep.EjectErr = err
 		inv.ejectFailStreak++
-		// A KeyedEjectError narrows the retry set to the keys that
-		// actually failed; keys every cache accepted are finished now.
-		failed := keys
-		var ke KeyedEjectError
-		if errors.As(err, &ke) {
-			failed = ke.FailedKeys()
-		}
-		failedSet := make(map[string]bool, len(failed))
-		for _, k := range failed {
-			failedSet[k] = true
-		}
-		for _, k := range keys {
-			if failedSet[k] {
-				continue
-			}
-			finish(k, now)
-			rep.Invalidated++
-		}
-		sort.Strings(failed)
-		inv.pending = dedupeSorted(failed)
+		// The whole batch is retried: keys is sorted and distinct.
+		inv.pending = keys
 		stamps := make(map[string]time.Time, len(inv.pending))
 		ctxs := make(map[string]trace.Context, len(inv.pending))
 		for _, k := range inv.pending {
@@ -919,16 +900,6 @@ func eachDistinctTrace(ctxs map[string]trace.Context, fn func(trace.Context)) {
 		seen[ctx.Trace] = true
 		fn(ctx)
 	}
-}
-
-func dedupeSorted(keys []string) []string {
-	out := keys[:0]
-	for i, k := range keys {
-		if i == 0 || keys[i-1] != k {
-			out = append(out, k)
-		}
-	}
-	return out
 }
 
 // ingestMap consumes QI/URL map changes, registering instances and marking

@@ -1,7 +1,6 @@
 package invalidator
 
 import (
-	"errors"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -80,14 +79,6 @@ func TestEjectorImplementations(t *testing.T) {
 	}
 	if cache.Len() != 1 {
 		t.Fatalf("len: %d", cache.Len())
-	}
-	// MultiEjector aggregates and reports the first error.
-	calls := 0
-	good := FuncEjector(func([]string) error { calls++; return nil })
-	bad := FuncEjector(func([]string) error { calls++; return errors.New("x") })
-	err := MultiEjector{good, bad, good}.Eject([]string{"k"})
-	if err == nil || calls != 3 {
-		t.Fatalf("err=%v calls=%d", err, calls)
 	}
 }
 

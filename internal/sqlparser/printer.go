@@ -6,18 +6,36 @@ import (
 )
 
 // String renders the canonical SQL for each node type. Canonical means:
-// upper-case keywords, single spaces, identifiers as written, strings
+// upper-case keywords, single spaces, identifiers as written (quoted only
+// when they would not lex back as themselves, see quoteIdent), strings
 // single-quoted with '' escaping. Parse(String(x)) yields an AST equal to x
 // (modulo placeholder ordinals, which are re-assigned positionally — the
 // printer emits placeholders in their original spelling, so ordinals are
 // preserved for statements whose placeholders were in lexical order, which
 // the parser guarantees).
 
+// quoteIdent renders a name so that it lexes back as that identifier: as
+// written when it can, otherwise double-quoted with "" escaping — an empty
+// name, a keyword, or one with a character an unquoted identifier cannot
+// hold. Ordinary names print unchanged, so their fingerprints do too.
+func quoteIdent(name string) string {
+	if name != "" && isIdentStart(name[0]) && !IsKeyword(name) {
+		bare := true
+		for i := 1; i < len(name) && bare; i++ {
+			bare = isIdentPart(name[i])
+		}
+		if bare {
+			return name
+		}
+	}
+	return `"` + strings.ReplaceAll(name, `"`, `""`) + `"`
+}
+
 func (c *ColumnRef) String() string {
 	if c.Table != "" {
-		return c.Table + "." + c.Column
+		return quoteIdent(c.Table) + "." + quoteIdent(c.Column)
 	}
-	return c.Column
+	return quoteIdent(c.Column)
 }
 
 func (l *IntLit) String() string { return strconv.FormatInt(l.Value, 10) }
@@ -154,7 +172,12 @@ func (n *IsNullExpr) String() string {
 
 func (f *FuncExpr) String() string {
 	var b strings.Builder
-	b.WriteString(f.Name)
+	switch f.Name {
+	case "COUNT", "SUM", "AVG", "MIN", "MAX":
+		b.WriteString(f.Name) // keyword calls
+	default:
+		b.WriteString(quoteIdent(f.Name))
+	}
 	b.WriteString("(")
 	if f.Star {
 		b.WriteString("*")
@@ -185,13 +208,13 @@ func (s *SelectStmt) String() string {
 		}
 		switch {
 		case it.Star && it.StarTable != "":
-			b.WriteString(it.StarTable + ".*")
+			b.WriteString(quoteIdent(it.StarTable) + ".*")
 		case it.Star:
 			b.WriteString("*")
 		default:
 			b.WriteString(it.Expr.String())
 			if it.Alias != "" {
-				b.WriteString(" AS " + it.Alias)
+				b.WriteString(" AS " + quoteIdent(it.Alias))
 			}
 		}
 	}
@@ -253,16 +276,23 @@ func (s *SelectStmt) String() string {
 // String renders "name" or "name AS alias".
 func (t TableRef) String() string {
 	if t.Alias != "" {
-		return t.Name + " AS " + t.Alias
+		return quoteIdent(t.Name) + " AS " + quoteIdent(t.Alias)
 	}
-	return t.Name
+	return quoteIdent(t.Name)
 }
 
 func (s *InsertStmt) String() string {
 	var b strings.Builder
-	b.WriteString("INSERT INTO " + s.Table)
+	b.WriteString("INSERT INTO " + quoteIdent(s.Table))
 	if len(s.Columns) > 0 {
-		b.WriteString(" (" + strings.Join(s.Columns, ", ") + ")")
+		b.WriteString(" (")
+		for i, c := range s.Columns {
+			if i > 0 {
+				b.WriteString(", ")
+			}
+			b.WriteString(quoteIdent(c))
+		}
+		b.WriteString(")")
 	}
 	b.WriteString(" VALUES ")
 	for i, row := range s.Rows {
@@ -283,12 +313,12 @@ func (s *InsertStmt) String() string {
 
 func (s *UpdateStmt) String() string {
 	var b strings.Builder
-	b.WriteString("UPDATE " + s.Table + " SET ")
+	b.WriteString("UPDATE " + quoteIdent(s.Table) + " SET ")
 	for i, a := range s.Set {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(a.Column + " = " + a.Value.String())
+		b.WriteString(quoteIdent(a.Column) + " = " + a.Value.String())
 	}
 	if s.Where != nil {
 		b.WriteString(" WHERE " + s.Where.String())
@@ -297,7 +327,7 @@ func (s *UpdateStmt) String() string {
 }
 
 func (s *DeleteStmt) String() string {
-	out := "DELETE FROM " + s.Table
+	out := "DELETE FROM " + quoteIdent(s.Table)
 	if s.Where != nil {
 		out += " WHERE " + s.Where.String()
 	}
@@ -310,12 +340,12 @@ func (s *CreateTableStmt) String() string {
 	if s.IfNotExists {
 		b.WriteString("IF NOT EXISTS ")
 	}
-	b.WriteString(s.Table + " (")
+	b.WriteString(quoteIdent(s.Table) + " (")
 	for i, c := range s.Columns {
 		if i > 0 {
 			b.WriteString(", ")
 		}
-		b.WriteString(c.Name + " " + c.Type.String())
+		b.WriteString(quoteIdent(c.Name) + " " + c.Type.String())
 		if c.PrimaryKey {
 			b.WriteString(" PRIMARY KEY")
 		} else if c.NotNull {
@@ -328,9 +358,9 @@ func (s *CreateTableStmt) String() string {
 
 func (s *DropTableStmt) String() string {
 	if s.IfExists {
-		return "DROP TABLE IF EXISTS " + s.Table
+		return "DROP TABLE IF EXISTS " + quoteIdent(s.Table)
 	}
-	return "DROP TABLE " + s.Table
+	return "DROP TABLE " + quoteIdent(s.Table)
 }
 
 func (s *CreateIndexStmt) String() string {
@@ -338,5 +368,5 @@ func (s *CreateIndexStmt) String() string {
 	if s.Unique {
 		u = "UNIQUE "
 	}
-	return "CREATE " + u + "INDEX " + s.Name + " ON " + s.Table + " (" + s.Column + ")"
+	return "CREATE " + u + "INDEX " + quoteIdent(s.Name) + " ON " + quoteIdent(s.Table) + " (" + quoteIdent(s.Column) + ")"
 }

@@ -151,8 +151,22 @@ var keywords = map[string]bool{
 	"IF": true, "EXISTS": true, "DEFAULT": true,
 }
 
-// IsKeyword reports whether s (case-insensitively) is a reserved word.
-func IsKeyword(s string) bool { return keywords[upper(s)] }
+// IsKeyword reports whether s (case-insensitively) is a reserved word. It
+// upper-cases into a stack buffer, so the check allocates nothing.
+func IsKeyword(s string) bool {
+	var buf [16]byte // longer than every keyword
+	if len(s) > len(buf) {
+		return false
+	}
+	for i := 0; i < len(s); i++ {
+		c := s[i]
+		if 'a' <= c && c <= 'z' {
+			c -= 'a' - 'A'
+		}
+		buf[i] = c
+	}
+	return keywords[string(buf[:len(s)])]
+}
 
 // upper is an ASCII-only strings.ToUpper, sufficient for SQL keywords and
 // cheaper than the Unicode-aware version on the hot lexing path.

@@ -36,8 +36,8 @@ import (
 
 // Context identifies a position in a trace: the trace itself plus the
 // span that any new child should hang off. It travels in-band — inside
-// UpdateLog records (on the wire too), and the X-Cacheportal-Trace HTTP
-// header (see Context.String / ParseContext).
+// UpdateLog records (on the wire too), and the eject stream's records
+// (see Context.String / ParseContext).
 type Context struct {
 	Trace int64 `json:"trace"`
 	Span  int64 `json:"span,omitempty"`
@@ -68,8 +68,8 @@ func ParseContext(s string) Context {
 	return Context{Trace: trace, Span: span}
 }
 
-// FormatContexts joins contexts into one comma-separated header value,
-// dropping invalid entries.
+// FormatContexts joins contexts into one comma-separated value, dropping
+// invalid entries.
 func FormatContexts(ctxs []Context) string {
 	var b strings.Builder
 	for _, c := range ctxs {
@@ -84,8 +84,7 @@ func FormatContexts(ctxs []Context) string {
 	return b.String()
 }
 
-// ParseContexts splits a FormatContexts header value, dropping invalid
-// entries.
+// ParseContexts splits a FormatContexts value, dropping invalid entries.
 func ParseContexts(s string) []Context {
 	if s == "" {
 		return nil

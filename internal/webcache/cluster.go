@@ -5,18 +5,40 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"strconv"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"repro/internal/cluster"
 	"repro/internal/httpx"
 	"repro/internal/obs"
+	"repro/internal/trace"
 )
 
 // ForwardedHeader marks a request a peer cache node already routed: the
 // receiving node serves it locally, never forwards again — the one-hop
 // guarantee that makes a stale map degrade into an extra hop, not a loop.
 const ForwardedHeader = "X-Cacheportal-Forwarded"
+
+// StreamApplier returns the cluster.Consumer Apply hook for a cache: it
+// invalidates an eject-stream record's keys and, with a tracer, closes each
+// trace the record names with a terminal webcache.eject span — the last
+// hop of the commit-to-eject chain, in the cache's own tracer.
+func StreamApplier(c *Cache, tr *trace.Tracer) func(keys []string, traces string) {
+	return func(keys []string, traces string) {
+		start := time.Now()
+		removed := c.InvalidateMany(keys)
+		if tr == nil || traces == "" {
+			return
+		}
+		end := time.Now()
+		for _, ctx := range trace.ParseContexts(traces) {
+			tr.RecordTerminal(ctx, "webcache.eject", start, end,
+				trace.Attr{K: "removed", V: strconv.Itoa(removed)})
+		}
+	}
+}
 
 // ClusterNode is a proxy's cluster identity: which node this cache is,
 // the shared placement view, and the per-slot request counters the shard

@@ -12,7 +12,6 @@ import (
 	"repro/internal/cluster"
 	"repro/internal/fragment"
 	"repro/internal/httpx"
-	"repro/internal/trace"
 )
 
 // Header names shared with the application server. Kept as local constants
@@ -27,13 +26,6 @@ const (
 	// newline-separated, so one round trip invalidates a whole batch.
 	batchHeader = "X-Cacheportal-Batch"
 )
-
-// TraceHeader carries pipeline trace contexts on an eject request
-// ("trace:span,trace:span", trace.FormatContexts): the invalidator lists
-// the update contexts behind the batch, and this cache records the
-// terminal webcache.eject span for each — the last hop of the
-// commit-to-eject chain, in the cache's own tracer.
-const TraceHeader = "X-Cacheportal-Trace"
 
 // Proxy is the caching reverse proxy. It forwards misses to Origin,
 // stores responses whose Cache-Control carries owner="cacheportal", and
@@ -77,10 +69,6 @@ type Proxy struct {
 	// operator's declaration that the listed servlets ignore everything
 	// else (e.g. tracking cookies on a fully-shared page).
 	CookieAllow map[string][]string
-
-	// Tracer, when set, closes pipeline traces: an eject request carrying
-	// TraceHeader gets a terminal webcache.eject span per listed context.
-	Tracer *trace.Tracer
 
 	// Cluster, when set, makes this proxy one node of the distributed
 	// cache tier: GETs for slots this node doesn't own are forwarded one
@@ -232,11 +220,8 @@ const ClearHeader = "X-Cacheportal-Clear"
 
 // serveEject removes the page named by the X-Cacheportal-Key header (or the
 // request URL when absent) and reports the outcome. Batched ejects carry
-// X-Cacheportal-Batch and list one key per line in the request body; a
-// TraceHeader closes the listed pipeline traces with terminal
-// webcache.eject spans.
+// X-Cacheportal-Batch and list one key per line in the request body.
 func (p *Proxy) serveEject(w http.ResponseWriter, r *http.Request) {
-	ejectStart := time.Now()
 	key := r.Header.Get(keyHeader)
 	removed := 0
 	switch {
@@ -266,13 +251,6 @@ func (p *Proxy) serveEject(w http.ResponseWriter, r *http.Request) {
 		removed = p.Cache.InvalidateServlet(r.Header.Get(servletHeader))
 	default:
 		removed = p.Cache.InvalidatePrefix(cacheKeyForRequest(r))
-	}
-	if hdr := r.Header.Get(TraceHeader); hdr != "" && p.Tracer != nil {
-		end := time.Now()
-		for _, ctx := range trace.ParseContexts(hdr) {
-			p.Tracer.RecordTerminal(ctx, "webcache.eject", ejectStart, end,
-				trace.Attr{K: "removed", V: fmt.Sprint(removed)})
-		}
 	}
 	w.Header().Set("Content-Type", "text/plain; charset=utf-8")
 	w.WriteHeader(http.StatusOK)
@@ -665,26 +643,22 @@ func cacheableResponse(resp *http.Response) bool {
 // CacheOwnerToken is the owner value this cache honours.
 const CacheOwnerToken = "cacheportal"
 
-// Eject sends an invalidation for key to a cache at addr (helper used by
-// the invalidator and by tests). It is a plain HTTP request carrying the
-// extended header, per §4.2.4.
+// Eject sends an invalidation for key to a cache at addr. It is a plain
+// HTTP request carrying the extended header, per §4.2.4.
 func Eject(client *http.Client, cacheURL, key string) error {
-	return ejectRequest(client, cacheURL, func(req *http.Request) {
-		req.Header.Set(keyHeader, key)
-	})
+	req, err := http.NewRequest(http.MethodGet, cacheURL+"/", nil)
+	if err != nil {
+		return err
+	}
+	req.Header.Set("Cache-Control", "eject")
+	req.Header.Set(keyHeader, key)
+	return doEject(client, req)
 }
 
 // EjectKeys invalidates many keys at a remote cache in one request: a POST
 // carrying the eject directive, the batch marker header, and one key per
 // line in the body. The remote answers "ejected N" like single ejects.
 func EjectKeys(client *http.Client, cacheURL string, keys []string) error {
-	return EjectKeysTraced(client, cacheURL, keys, "")
-}
-
-// EjectKeysTraced is EjectKeys with a pipeline-trace header: traceHdr (a
-// trace.FormatContexts value, "" for none) rides the request so the remote
-// cache closes the listed traces with terminal webcache.eject spans.
-func EjectKeysTraced(client *http.Client, cacheURL string, keys []string, traceHdr string) error {
 	if len(keys) == 0 {
 		return nil
 	}
@@ -696,35 +670,10 @@ func EjectKeysTraced(client *http.Client, cacheURL string, keys []string, traceH
 	req.Header.Set("Cache-Control", "eject")
 	req.Header.Set(batchHeader, "1")
 	req.Header.Set("Content-Type", "text/plain; charset=utf-8")
-	if traceHdr != "" {
-		req.Header.Set(TraceHeader, traceHdr)
-	}
-	resp, err := httpx.Client(client).Do(req)
-	if err != nil {
-		return err
-	}
-	io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		return fmt.Errorf("webcache: batch eject: status %d", resp.StatusCode)
-	}
-	return nil
+	return doEject(client, req)
 }
 
-// EjectAll flushes the entire remote cache.
-func EjectAll(client *http.Client, cacheURL string) error {
-	return ejectRequest(client, cacheURL, func(req *http.Request) {
-		req.Header.Set(ClearHeader, "all")
-	})
-}
-
-func ejectRequest(client *http.Client, cacheURL string, decorate func(*http.Request)) error {
-	req, err := http.NewRequest(http.MethodGet, cacheURL+"/", nil)
-	if err != nil {
-		return err
-	}
-	req.Header.Set("Cache-Control", "eject")
-	decorate(req)
+func doEject(client *http.Client, req *http.Request) error {
 	resp, err := httpx.Client(client).Do(req)
 	if err != nil {
 		return err

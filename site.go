@@ -29,10 +29,9 @@ type ServletDef struct {
 // ClusterConfig configures the distributed web-cache tier: N cache nodes
 // with consistent-hash key placement, a ConsistentHash front balancer
 // routing by the same projection, invalidation delivered over a
-// cursor-resumable eject stream (or routed HTTP pushes), and optionally a
-// shard manager replicating hot slots at runtime. The zero value (or
-// CacheNodes <= 1) keeps the single-cache topology byte-identical to
-// before.
+// cursor-resumable eject stream, and optionally a shard manager
+// replicating hot slots at runtime. The zero value (or CacheNodes <= 1)
+// keeps the single-cache topology byte-identical to before.
 type ClusterConfig struct {
 	// CacheNodes is how many webcache nodes to run (<= 1 = single cache,
 	// no cluster machinery at all).
@@ -53,11 +52,6 @@ type ClusterConfig struct {
 	// MinLoad overrides the manager's per-round request floor below which
 	// a slot is never replicated (default 16).
 	MinLoad int64
-	// PushEjects delivers invalidations as routed per-cache HTTP pushes
-	// (HTTPEjector + shard-map router) instead of the default eject
-	// stream. The stream is the resilient choice — a node that drops and
-	// rejoins resumes from its cursor — pushes are the A/B comparison.
-	PushEjects bool
 	// EjectRetain bounds the eject stream's retention in records
 	// (cluster.DefaultEjectRetain when 0). A consumer that falls further
 	// behind than this sees the truncation signal and clears its cache.
@@ -172,12 +166,11 @@ type Site struct {
 	Caches    []*webcache.Cache
 	Proxies   []*webcache.Proxy
 	CacheURLs []string
-	// ClusterView is the placement map shared by the front balancer, the
-	// eject router and the shard manager (nil when not clustered).
+	// ClusterView is the placement map shared by the front balancer and
+	// the shard manager (nil when not clustered).
 	ClusterView *cluster.View
-	// EjectLog is the invalidation stream the cache nodes consume
-	// (nil in single-node or push-eject mode); EjectStreamURL is its
-	// HTTP endpoint.
+	// EjectLog is the invalidation stream the cache nodes consume (nil
+	// on a single-node site); EjectStreamURL is its HTTP endpoint.
 	EjectLog       *cluster.EjectLog
 	EjectStreamURL string
 	// Manager is the running shard manager (nil unless Cluster.Manager).
@@ -328,7 +321,6 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		s.Cache = webcache.NewCache(cfg.CacheCapacity)
 		s.Cache.Instrument(cfg.Obs, "webcache")
 		s.Proxy = webcache.NewProxy(s.AppURL, s.Cache)
-		s.Proxy.Tracer = cfg.Tracer
 		s.Proxy.Fragments = cfg.Fragments
 		s.Proxy.CookieAllow = cfg.CookieAllow
 		s.proxyLn, err = net.Listen("tcp", "127.0.0.1:0")
@@ -387,22 +379,12 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		}
 		poller = invalidator.NewConcurrentPoller(conns...)
 	}
-	var ejector invalidator.Ejector
-	switch {
-	case s.EjectLog != nil:
-		// Cluster, stream mode: the portal appends to the eject log and
-		// every cache node's consumer applies it from its own cursor.
+	// A cluster's portal appends to the eject log and every cache node's
+	// consumer applies it from its own cursor; a single cache is ejected
+	// in-process.
+	var ejector invalidator.Ejector = invalidator.CacheEjector{Cache: s.Cache, Tracer: cfg.Tracer}
+	if s.EjectLog != nil {
 		ejector = cluster.StreamEjector{Log: s.EjectLog}
-	case len(s.Caches) > 1:
-		// Cluster, push mode: routed HTTP ejects, each key only to the
-		// nodes the shard map says may hold it.
-		ejector = invalidator.HTTPEjector{
-			CacheURLs: s.CacheURLs,
-			Router:    cluster.Router{View: s.ClusterView},
-			Obs:       cfg.Obs,
-		}
-	default:
-		ejector = invalidator.CacheEjector{Cache: s.Cache, Tracer: cfg.Tracer}
 	}
 	if cfg.Chaos != nil {
 		cfg.Chaos.Instrument(cfg.Obs, "")
@@ -462,8 +444,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 // proxies (each a ClusterNode over its own shard of the hash ring, with
 // node-ID-prefixed metrics so multi-node scrapes don't collide), a
 // ConsistentHash front balancer as the one CacheURL entry point, the eject
-// stream server plus one resuming consumer per node (unless PushEjects),
-// and — when asked — the shard manager probing /debug/cluster.
+// stream server plus one resuming consumer per node, and — when asked — the shard manager probing /debug/cluster.
 func (s *Site) buildCacheCluster(cfg SiteConfig) error {
 	n := cfg.Cluster.CacheNodes
 	nodes := make([]cluster.NodeInfo, n)
@@ -477,9 +458,9 @@ func (s *Site) buildCacheCluster(cfg SiteConfig) error {
 		nodes[i] = cluster.NodeInfo{ID: fmt.Sprintf("node%d", i), URL: "http://" + ln.Addr().String()}
 	}
 	initial := cluster.NewMap(cfg.Cluster.Slots, nodes)
-	// The control view (balancer, eject router, manager) and each node's
-	// own view start from the same map; manager publishes reach the nodes
-	// through their /debug/cluster endpoints, exactly as across machines.
+	// The control view (balancer, manager) and each node's own view start
+	// from the same map; manager publishes reach the nodes through their
+	// /debug/cluster endpoints, exactly as across machines.
 	s.ClusterView = cluster.NewView(initial)
 	for i := 0; i < n; i++ {
 		cache := webcache.NewCache(cfg.CacheCapacity)
@@ -487,7 +468,6 @@ func (s *Site) buildCacheCluster(cfg SiteConfig) error {
 		node := webcache.NewClusterNode(nodes[i].ID, cluster.NewView(initial), cache)
 		node.Instrument(cfg.Obs, "cluster."+nodes[i].ID)
 		proxy := webcache.NewProxy(s.AppURL, cache)
-		proxy.Tracer = cfg.Tracer
 		proxy.Fragments = cfg.Fragments
 		proxy.CookieAllow = cfg.CookieAllow
 		proxy.Cluster = node
@@ -517,27 +497,24 @@ func (s *Site) buildCacheCluster(cfg SiteConfig) error {
 	go s.cacheLB.Serve(lbLn)
 	s.CacheURL = "http://" + lbLn.Addr().String()
 
-	if !cfg.Cluster.PushEjects {
-		s.EjectLog = cluster.NewEjectLog(cfg.Cluster.EjectRetain)
-		mux := http.NewServeMux()
-		mux.Handle("/ejects", s.EjectLog.Handler())
-		streamLn, err := net.Listen("tcp", "127.0.0.1:0")
-		if err != nil {
-			return err
-		}
-		s.streamHTTP = &http.Server{Handler: mux}
-		go s.streamHTTP.Serve(streamLn)
-		s.EjectStreamURL = "http://" + streamLn.Addr().String() + "/ejects"
-		for i := 0; i < n; i++ {
-			cache := s.Caches[i]
-			s.consumers = append(s.consumers, &ejectConsumer{c: &cluster.Consumer{
-				URL:   s.EjectStreamURL,
-				Apply: func(keys []string) { cache.InvalidateMany(keys) },
-				Clear: cache.Clear,
-				Wait:  time.Second,
-			}})
-			s.ResumeEjectConsumer(i)
-		}
+	s.EjectLog = cluster.NewEjectLog(cfg.Cluster.EjectRetain)
+	mux := http.NewServeMux()
+	mux.Handle("/ejects", s.EjectLog.Handler())
+	streamLn, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		return err
+	}
+	s.streamHTTP = &http.Server{Handler: mux}
+	go s.streamHTTP.Serve(streamLn)
+	s.EjectStreamURL = "http://" + streamLn.Addr().String() + "/ejects"
+	for i, cache := range s.Caches {
+		s.consumers = append(s.consumers, &ejectConsumer{c: &cluster.Consumer{
+			URL:   s.EjectStreamURL,
+			Apply: webcache.StreamApplier(cache, cfg.Tracer),
+			Clear: cache.Clear,
+			Wait:  time.Second,
+		}})
+		s.ResumeEjectConsumer(i)
 	}
 
 	if cfg.Cluster.Manager {
@@ -606,7 +583,7 @@ func (s *Site) EjectConsumerCursor(i int) int64 {
 }
 
 // EjectStreamLag reports how many stream records the slowest running
-// consumer still has to apply (0 when not in stream mode; stopped
+// consumer still has to apply (0 on a single-node site; stopped
 // consumers don't count — they are lagging on purpose).
 func (s *Site) EjectStreamLag() int64 {
 	if s.EjectLog == nil {
