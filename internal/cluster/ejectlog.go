@@ -12,7 +12,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"repro/internal/backoff"
 	"repro/internal/httpx"
 	"repro/internal/trace"
 )
@@ -266,7 +265,7 @@ type Consumer struct {
 	// Wait is the server-side long-poll wait per request (default 5s).
 	Wait time.Duration
 	// OnError, when set, observes transport/decode failures (the consumer
-	// itself just backs off and retries).
+	// itself just retries).
 	OnError func(error)
 
 	cursor  atomic.Int64
@@ -295,10 +294,17 @@ func (c *Consumer) Applied() int64 { return c.applied.Load() }
 // Cleared returns how many whole-cache clears the consumer performed.
 func (c *Consumer) Cleared() int64 { return c.cleared.Load() }
 
-// Run tails the stream until stop closes. Transport failures back off with
-// jitter (capped exponential, like every reconnecting edge here) and
-// resume from the same cursor. A long poll in flight when stop closes is
-// aborted immediately rather than riding out its wait.
+// retryEvery is the consumer's constant retry cadence: one refused dial per
+// interval costs next to nothing, and a backoff grown during an outage
+// would leave ejected pages served for its length after the producer is
+// back.
+const retryEvery = 250 * time.Millisecond
+
+// Run tails the stream until stop closes. A failed poll is retried every
+// retryEvery from the same cursor, however long the producer stays away,
+// so a restarted producer's clear and ejects land within one retry of its
+// return. A long poll in flight when stop closes is aborted immediately
+// rather than riding out its wait.
 func (c *Consumer) Run(stop <-chan struct{}) {
 	wait := c.Wait
 	if wait <= 0 {
@@ -310,7 +316,6 @@ func (c *Consumer) Run(stop <-chan struct{}) {
 		<-stop
 		cancel()
 	}()
-	failures := 0
 	for {
 		select {
 		case <-stop:
@@ -319,18 +324,16 @@ func (c *Consumer) Run(stop <-chan struct{}) {
 		}
 		page, err := c.fetch(ctx, wait)
 		if err != nil {
-			failures++
 			if c.OnError != nil {
 				c.OnError(err)
 			}
 			select {
-			case <-time.After(backoff.Delay(250*time.Millisecond, failures, 5*time.Second)):
+			case <-time.After(retryEvery):
 			case <-stop:
 				return
 			}
 			continue
 		}
-		failures = 0
 		if (page.Epoch != 0 && c.epoch != 0 && page.Epoch != c.epoch) || page.Next < c.Cursor() {
 			// The cursor indexes a log that is gone: whatever it lost in
 			// between cannot be replayed, so clear and start over at the
