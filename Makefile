@@ -125,14 +125,17 @@ trace-smoke:
 	$(GO) test -race ./internal/trace/
 	$(GO) test -race -run 'TestTraceSmoke|TestTraceChaosExemplar|TestStreamEjectorPropagatesTraceContexts' -v . ./internal/invalidator/
 
-# Coverage-guided fuzzing: the SQL parser/printer round-trip and the wire
-# codec (bit-exact encode/decode identity, and no panic on arbitrary bytes).
-# FUZZTIME bounds each target (CI smoke uses 30s; leave it running longer
-# locally). `go test -fuzz` takes one target per invocation, hence two lines.
+# Coverage-guided fuzzing: the SQL parser/printer round-trip, the wire
+# codec (bit-exact encode/decode identity, and no panic on arbitrary bytes)
+# and the HTTP head parser (whatever it accepts, net/http's ReadRequest
+# accepts with the same method, Host, route key and framing). FUZZTIME
+# bounds each target (CI smoke uses 30s; leave it running longer locally).
+# `go test -fuzz` takes one target per invocation, hence three lines.
 FUZZTIME ?= 30s
 fuzz:
 	$(GO) test ./internal/sqlparser/ -fuzz FuzzParseRoundTrip -fuzztime $(FUZZTIME)
 	$(GO) test ./internal/wire/ -fuzz FuzzBinaryCodecRoundTrip -fuzztime $(FUZZTIME)
+	$(GO) test ./internal/httpx/ -fuzz FuzzReadHead -fuzztime $(FUZZTIME)
 
 clean:
 	$(GO) clean ./...

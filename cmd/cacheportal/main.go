@@ -18,14 +18,14 @@ import (
 	"log"
 	"net"
 	"net/http"
-	"net/http/httputil"
-	"net/url"
 	"os"
 	"os/signal"
 	"syscall"
 	"time"
 
+	"repro/internal/balancer"
 	"repro/internal/demoapp"
+	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/trace"
 
@@ -82,20 +82,21 @@ func main() {
 	defer site.Close()
 
 	// Re-expose the cache tier on the requested public address: the proxy
-	// itself single-node, the front balancer when running the cluster.
+	// itself single-node, a relay to the front balancer when running the
+	// cluster.
 	ln, err := net.Listen("tcp", *listen)
 	if err != nil {
 		log.Fatalf("cacheportal: %v", err)
 	}
-	var public http.Handler = site.Proxy
 	if *cacheNodes > 1 {
-		front, err := url.Parse(site.CacheURL)
-		if err != nil {
-			log.Fatalf("cacheportal: %v", err)
-		}
-		public = httputil.NewSingleHostReverseProxy(front)
+		public := balancer.New(site.CacheURL)
+		defer public.Close()
+		go public.Serve(ln)
+	} else {
+		public := &httpx.Server{Handler: site.Proxy}
+		defer public.Close()
+		go public.Serve(ln)
 	}
-	go http.Serve(ln, public)
 
 	fmt.Printf("cacheportal site up:\n")
 	fmt.Printf("  public (cached) URL: http://%s  (pages: /light /medium /heavy ?cat=0..9)\n", ln.Addr())

@@ -25,6 +25,7 @@ import (
 
 	"repro/internal/cluster"
 	"repro/internal/driver"
+	"repro/internal/engine"
 	"repro/internal/invalidator"
 	"repro/internal/logexport"
 	"repro/internal/obs"
@@ -122,6 +123,7 @@ func main() {
 
 	mirror := logexport.NewMirror(*appURL)
 	mirror.Client = httpClient
+	puller = syncedPuller{LogPuller: puller, mirror: mirror}
 	qiMap := sniffer.NewQIURLMap()
 	mapper := sniffer.NewMapper(mirror.Requests, mirror.Queries, qiMap)
 	mapper.Obs = reg
@@ -172,24 +174,19 @@ func main() {
 	if *feed {
 		// Long-poll the app server's logs in the background so request and
 		// query entries land in the mirror as they are appended; the
-		// synchronous Sync at the head of each cycle stays as the soundness
-		// backstop (a cycle must never consume update records while blind to
-		// the requests that cached the affected pages).
+		// synchronous Sync after each update-log pull stays as the soundness
+		// backstop (syncedPuller).
 		go mirror.Run(stop)
 	}
 	// One shared cadence loop for both modes (invalidator.RunLoop): pure
 	// interval ticking by default; with -feed a cycle also runs the moment
 	// the stream signals new update records — whatever commits during a
-	// cycle (or its mirror.Sync round trip) batches into the next one — with
+	// cycle batches into the next one — with
 	// the interval timer kept as fallback. Consecutive failures (log fetch or
 	// cycle) stretch the cadence with capped exponential backoff instead of
 	// hammering a dead dependency; one clean cycle restores the configured
 	// interval.
 	cycle := func() error {
-		if _, err := mirror.Sync(); err != nil {
-			log.Printf("invalidatord: log fetch: %v", err)
-			return err // app server may be restarting; retry after backoff
-		}
 		rep, err := inv.Cycle()
 		if err != nil {
 			log.Printf("invalidatord: cycle: %v", err)
@@ -214,4 +211,27 @@ func main() {
 	<-sig
 	close(stop)
 	fmt.Println("invalidatord: shutting down")
+}
+
+// syncedPuller brings the mirror of the app server's request and query
+// logs up to date right after each update-log pull, so every record a
+// cycle pulls committed before the mapper's logs were read: a cycle never
+// consumes update records while blind to the requests that cached the
+// affected pages. A failed log fetch fails the pull, and the cycle
+// consumes nothing (the app server may be restarting; the loop retries
+// after backoff).
+type syncedPuller struct {
+	invalidator.LogPuller
+	mirror *logexport.Mirror
+}
+
+func (p syncedPuller) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error) {
+	recs, truncated, next, err := p.LogPuller.PullSince(lsn)
+	if err != nil {
+		return nil, false, 0, err
+	}
+	if _, err := p.mirror.Sync(); err != nil {
+		return nil, false, 0, fmt.Errorf("log fetch: %w", err)
+	}
+	return recs, truncated, next, nil
 }

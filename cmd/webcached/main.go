@@ -14,10 +14,12 @@ import (
 	"flag"
 	"fmt"
 	"log"
+	"net"
 	"net/http"
 	"time"
 
 	"repro/internal/cluster"
+	"repro/internal/httpx"
 	"repro/internal/obs"
 	"repro/internal/trace"
 	"repro/internal/webcache"
@@ -138,6 +140,10 @@ func main() {
 		}()
 	}
 
+	ln, err := net.Listen("tcp", *listen)
+	if err != nil {
+		log.Fatalf("webcached: %v", err)
+	}
 	fmt.Printf("webcached on %s → %s\n", *listen, *origin)
-	log.Fatal(http.ListenAndServe(*listen, handler))
+	log.Fatal((&httpx.Server{Handler: handler}).Serve(ln))
 }

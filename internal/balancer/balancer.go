@@ -14,7 +14,6 @@ import (
 	"net"
 	"net/http"
 	"net/url"
-	"strings"
 	"sync"
 	"time"
 
@@ -57,10 +56,11 @@ type upstream struct {
 }
 
 // Balancer relays HTTP/1.1 from its clients to a set of backends. Each
-// client connection gets one goroutine, which reads a request, picks a
-// backend, writes the request over an idle pooled connection to it (or a
-// fresh one), and copies the response back; framing on both sides is
-// net/http's. Create one with New.
+// client connection gets one goroutine, which scans a request head once
+// (httpx.Head), picks a backend, forwards the head's bytes and the body
+// as framed over an idle pooled connection to it (or a fresh one), and
+// copies the response back the same way: nothing is parsed into net/http
+// values or re-serialized. Create one with New.
 type Balancer struct {
 	// Policy selects backends; RoundRobin by default.
 	Policy Policy
@@ -195,7 +195,7 @@ func (b *Balancer) forget(c net.Conn) {
 
 // pick selects a backend per policy, skipping unhealthy ones whose retry
 // window has not elapsed. It increments the chosen backend's active count.
-func (b *Balancer) pick(r *http.Request) (*backend, error) {
+func (b *Balancer) pick(r *httpx.Head) (*backend, error) {
 	b.mu.Lock()
 	defer b.mu.Unlock()
 	n := len(b.backends)
@@ -237,19 +237,20 @@ func (b *Balancer) pick(r *http.Request) (*backend, error) {
 	return chosen, nil
 }
 
-// pickHashed routes by the cache tier's key projection: least-active among
+// pickHashed routes by the cache tier's key projection (the head's
+// RouteKey, which equals cluster.RequestRouteKey): least-active among
 // the usable backends owning the request's slot. Nil when the request is
 // unroutable (non-GET, no view, no owner usable) — the caller falls back
 // to round-robin. Caller holds b.mu.
-func (b *Balancer) pickHashed(r *http.Request, usable func(*backend) bool) *backend {
-	if b.View == nil || r == nil || r.Method != http.MethodGet {
+func (b *Balancer) pickHashed(r *httpx.Head, usable func(*backend) bool) *backend {
+	if b.View == nil || !r.IsMethod(http.MethodGet) {
 		return nil
 	}
 	m := b.View.Map()
 	if m == nil || m.NumSlots() == 0 {
 		return nil
 	}
-	owners := m.Owners(m.Slot(cluster.RequestRouteKey(r)))
+	owners := m.Owners(m.Slot(r.RouteKey()))
 	var chosen *backend
 	for _, o := range owners {
 		for _, be := range b.backends {
@@ -334,25 +335,29 @@ func (b *Balancer) serveConn(c net.Conn) {
 	defer b.forget(c)
 	br := bufio.NewReader(c)
 	bw := bufio.NewWriter(writerOnly{c})
+	var req, resp httpx.Head
 	for {
-		req, err := http.ReadRequest(br)
+		err := req.ReadRequest(br)
 		// A client that stops reading must not pin a backend connection.
 		c.SetWriteDeadline(time.Now().Add(httpx.DefaultTimeout))
 		if err != nil {
-			if !errors.Is(err, io.EOF) && !errors.Is(err, net.ErrClosed) {
+			var bad httpx.HeadError
+			if errors.As(err, &bad) {
 				reply(bw, nil, http.StatusBadRequest, err)
 			}
 			return
 		}
-		if !b.relay(req, bw) {
+		if !b.relay(&req, &resp, br, bw) {
 			return
 		}
 	}
 }
 
-// relay forwards one request and its response, reporting whether the client
-// connection can carry another request.
-func (b *Balancer) relay(req *http.Request, bw *bufio.Writer) bool {
+// relay forwards one request, its body read from br, and copies the
+// response to bw, reporting whether the client connection can carry
+// another request. Heads go through verbatim, minus a request's Expect
+// line; bodies are copied as framed.
+func (b *Balancer) relay(req, resp *httpx.Head, br *bufio.Reader, bw *bufio.Writer) bool {
 	be, err := b.pick(req)
 	if err != nil {
 		return reply(bw, req, http.StatusServiceUnavailable, err)
@@ -360,77 +365,95 @@ func (b *Balancer) relay(req *http.Request, bw *bufio.Writer) bool {
 	// The relay answers 100-continue itself, just before reading the body,
 	// so a backend never sends an interim response that would be taken for
 	// the final one.
-	if expect := req.Header.Get("Expect"); expect != "" {
-		req.Header.Del("Expect")
-		if strings.EqualFold(expect, "100-continue") && req.ProtoAtLeast(1, 1) && req.ContentLength != 0 {
-			bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n")
-			bw.Flush()
-		}
+	if req.ExpectsContinue() {
+		bw.WriteString("HTTP/1.1 100 Continue\r\n\r\n")
+		bw.Flush()
 	}
-	resp, up, down, err := b.exchange(be, req)
+	up, down, err := b.exchange(be, req, resp, br)
 	if err != nil {
 		b.release(be, down)
 		return reply(bw, req, http.StatusBadGateway, fmt.Errorf("bad gateway: %w", err))
 	}
-	reuse := !req.Close && !resp.Close
-	if !req.ProtoAtLeast(1, 1) && resp.ContentLength < 0 {
-		// An HTTP/1.0 client cannot read chunked framing: the body ends
-		// where the connection does.
-		resp.TransferEncoding = nil
-		resp.Close = true
+	// An HTTP/1.0 client cannot read chunked framing: the body ends where
+	// the connection does.
+	dechunk := req.Minor == 0 && resp.Chunked
+	if dechunk {
+		resp.WriteWithout(bw, "Transfer-Encoding")
+	} else {
+		bw.Write(resp.Raw)
 	}
-	err = resp.Write(bw)
+	untilClose := false
+	if !resp.Bodyless(req.Method) {
+		untilClose = !resp.Chunked && resp.ContentLength < 0
+		err = httpx.CopyBody(bw, up.br, resp, dechunk)
+	}
 	if err == nil {
 		err = bw.Flush()
 	}
 	b.release(be, false)
+	reuse := !req.Close && !resp.Close && !untilClose
 	if err != nil || !reuse {
 		b.forget(up.conn)
 	} else {
 		b.putIdle(be, up)
 	}
-	return err == nil && !req.Close && !resp.Close
+	return err == nil && reuse && !dechunk
 }
 
-// exchange sends req to be and reads the response header, over the most
-// recently pooled connection or, when none is idle, a fresh one. A backend
-// may close an idle connection at any moment, so a pooled connection's
-// failure says nothing about the backend unless it timed out; a request
-// without a body is then sent once more on a fresh dial. down reports
-// whether the failure marks the backend down.
-func (b *Balancer) exchange(be *backend, req *http.Request) (resp *http.Response, up *upstream, down bool, err error) {
+// exchange sends req (its body read from br) to be and reads the response
+// head into resp, over the most recently pooled connection or, when none
+// is idle, a fresh one. A backend may close an idle connection at any
+// moment, so a pooled connection's failure says nothing about the backend
+// unless it timed out; a request without a body is then sent once more on
+// a fresh dial. down reports whether the failure marks the backend down.
+func (b *Balancer) exchange(be *backend, req, resp *httpx.Head, br *bufio.Reader) (up *upstream, down bool, err error) {
 	if up = b.takeIdle(be); up != nil {
-		if resp, err = roundTrip(up, req); err == nil {
-			return resp, up, false, nil
+		if err = roundTrip(up, req, resp, br); err == nil {
+			return up, false, nil
 		}
 		b.forget(up.conn)
 		var ne net.Error
 		timeout := errors.As(err, &ne) && ne.Timeout()
-		replayable := req.Body == http.NoBody && (req.Method == http.MethodGet || req.Method == http.MethodHead)
+		replayable := req.ContentLength == 0 && (req.IsMethod(http.MethodGet) || req.IsMethod(http.MethodHead))
 		if timeout || !replayable {
-			return nil, nil, timeout, err
+			return nil, timeout, err
 		}
 	}
 	if up, err = b.dial(be); err == nil {
-		if resp, err = roundTrip(up, req); err == nil {
-			return resp, up, false, nil
+		if err = roundTrip(up, req, resp, br); err == nil {
+			return up, false, nil
 		}
 		b.forget(up.conn)
 	}
-	return nil, nil, true, err
+	return nil, true, err
 }
 
-// roundTrip writes req on up and reads the response header, the whole
-// exchange bounded by httpx.DefaultTimeout.
-func roundTrip(up *upstream, req *http.Request) (*http.Response, error) {
+// roundTrip writes req and its body on up and reads the final response
+// head, skipping interim 1xx ones, the whole exchange bounded by
+// httpx.DefaultTimeout.
+func roundTrip(up *upstream, req, resp *httpx.Head, br *bufio.Reader) error {
 	up.conn.SetDeadline(time.Now().Add(httpx.DefaultTimeout))
-	if err := req.Write(up.bw); err != nil {
-		return nil, err
+	if req.Expect != nil {
+		req.WriteWithout(up.bw, "Expect")
+	} else {
+		up.bw.Write(req.Raw)
+	}
+	if req.ContentLength != 0 {
+		if err := httpx.CopyBody(up.bw, br, req, false); err != nil {
+			return err
+		}
 	}
 	if err := up.bw.Flush(); err != nil {
-		return nil, err
+		return err
 	}
-	return http.ReadResponse(up.br, req)
+	for {
+		if err := resp.ReadResponse(up.br); err != nil {
+			return err
+		}
+		if resp.Status/100 != 1 || resp.Status == http.StatusSwitchingProtocols {
+			return nil
+		}
+	}
 }
 
 // takeIdle pops be's most recently pooled connection, nil when none is idle.
@@ -475,24 +498,19 @@ func (b *Balancer) dial(be *backend) (*upstream, error) {
 	return &upstream{conn: c, br: bufio.NewReader(c), bw: bufio.NewWriter(writerOnly{c})}, nil
 }
 
-// reply answers req (nil when it could not be parsed) with an error status,
-// reporting whether the client connection can carry another request: not
-// when the request's body may be left unread.
-func reply(bw *bufio.Writer, req *http.Request, code int, err error) bool {
+// reply answers req (nil when its head could not be read) with an error
+// status, reporting whether the client connection can carry another
+// request: not when the request's body may be left unread.
+func reply(bw *bufio.Writer, req *httpx.Head, code int, err error) bool {
 	msg := err.Error() + "\n"
 	keep := req != nil && !req.Close && req.ContentLength == 0
-	resp := &http.Response{
-		StatusCode:    code,
-		ProtoMajor:    1,
-		ProtoMinor:    1,
-		Request:       req,
-		Close:         !keep,
-		Header:        http.Header{"Content-Type": {"text/plain; charset=utf-8"}},
-		ContentLength: int64(len(msg)),
-		Body:          io.NopCloser(strings.NewReader(msg)),
+	fmt.Fprintf(bw, "HTTP/1.1 %d %s\r\nContent-Type: text/plain; charset=utf-8\r\nContent-Length: %d\r\n", code, http.StatusText(code), len(msg))
+	if !keep {
+		bw.WriteString("Connection: close\r\n")
 	}
-	if resp.Write(bw) != nil || bw.Flush() != nil {
-		return false
+	bw.WriteString("\r\n")
+	if req == nil || !req.IsMethod(http.MethodHead) {
+		bw.WriteString(msg)
 	}
-	return keep
+	return bw.Flush() == nil && keep
 }

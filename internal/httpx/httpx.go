@@ -1,13 +1,21 @@
-// Package httpx holds the shared default HTTP client for every component
-// that talks over HTTP — the log mirror, the caching proxy, the ejector,
-// the balancer's re-probe, and the workload generators — and the timeouts
-// the balancer's relay arms on its own connections. Unlike
+// Package httpx holds the HTTP plumbing every component shares. Its
+// client half is the shared default client for every component that talks
+// over HTTP — the log mirror, the caching proxy, the eject-stream
+// consumer, the balancer's re-probe, and the workload generators — and
+// the timeouts the balancer's relay arms on its own connections. Unlike
 // http.DefaultClient it carries timeouts on every phase (dial, response
 // headers, whole request), so a hung peer degrades into a bounded error
 // instead of a goroutine stuck forever: the failure-model requirement that
 // no pipeline edge blocks the invalidation loop indefinitely. Components
 // still accept an explicit *http.Client for callers that need different
 // limits.
+//
+// Its server half carries the two hops every cache hit crosses without
+// net/http's framing. Head scans an HTTP/1.1 message head once and keeps
+// its bytes, which the balancer's relay forwards verbatim, with CopyBody
+// copying the body as framed; Server runs a handler (the cache node's
+// webcache.Proxy) with one goroutine per connection and writes each
+// buffered response with one flush.
 package httpx
 
 import (

@@ -433,7 +433,18 @@ func (inv *Invalidator) Cycle() (rep Report, retErr error) {
 		}
 	}()
 
-	// 1. Give the sniffer a chance to map fresh requests. If a source log
+	// 1. Pull the update log (§4.2.1), before the mapper reads its logs:
+	// every record pulled here committed before the mapping pass starts,
+	// so the pass sees every request logged before any of these commits.
+	// Mapping first would let a page fetched and then updated between the
+	// two steps have its update analyzed while the page is still
+	// unmapped, leaving it stale for good.
+	tr := inv.cfg.Tracer // nil-safe: every method is a no-op when nil
+	pullStart := time.Now()
+	recs, truncated, next, pullErr := inv.cfg.Puller.PullSince(inv.lastLSN)
+	pullEnd := time.Now()
+
+	// 2. Give the sniffer a chance to map fresh requests. If a source log
 	// was truncated before the mapper read it, pages may be cached with no
 	// QI/URL mapping — nothing can ever invalidate them precisely, so the
 	// only sound recovery is to flush the caches outright. The flush must
@@ -469,17 +480,12 @@ func (inv *Invalidator) Cycle() (rep Report, retErr error) {
 		// being discarded.
 	}
 
-	// 2. Ingest QI/URL map changes (§4.1.2 online registration).
+	// 3. Ingest QI/URL map changes (§4.1.2 online registration).
 	inv.ingestMap(&rep)
 
-	// 3. Pull the update log (§4.2.1).
-	tr := inv.cfg.Tracer // nil-safe: every method is a no-op when nil
-	pullStart := time.Now()
-	recs, truncated, next, err := inv.cfg.Puller.PullSince(inv.lastLSN)
-	pullEnd := time.Now()
-	if err != nil {
+	if pullErr != nil {
 		rep.Duration = time.Since(start)
-		return rep, err
+		return rep, pullErr
 	}
 	rep.UpdateRecords = len(recs)
 	rep.Truncated = rep.Truncated || truncated

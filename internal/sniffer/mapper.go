@@ -140,9 +140,9 @@ func (mp *Mapper) run() (mapped, attributed, examined int) {
 	// Read requests first: any query belonging to a read request was logged
 	// before the request's delivery-time append, so reading queries second
 	// cannot miss them. Both reads are synchronous, so a pass observes every
-	// entry logged before it started — the invalidator consumes update
-	// records right after this runs, and an update analyzed while its page
-	// is still unmapped would leave that page stale forever.
+	// entry logged before it started — the invalidator pulls the update
+	// records it analyzes just before this runs, and an update analyzed
+	// while its page is still unmapped would leave that page stale forever.
 	reqs, reqTrunc, next, _ := mp.Requests.SinceNext(mp.lastReq)
 	mp.lastReq = next
 	qs, qTrunc, next, _ := mp.Queries.SinceNext(mp.lastQuery)

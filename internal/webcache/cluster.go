@@ -212,15 +212,12 @@ func (p *Proxy) forwardPeer(w http.ResponseWriter, r *http.Request, peerURL stri
 	}
 	w.WriteHeader(resp.StatusCode)
 	buf := forwardBufs.Get().(*[32 << 10]byte)
-	io.CopyBuffer(writerOnly{w}, resp.Body, buf[:])
+	io.CopyBuffer(w, resp.Body, buf[:])
 	forwardBufs.Put(buf)
 	return true
 }
 
-// forwardBufs holds forwardPeer's copy buffers. The copy goes through
-// writerOnly: handed to the ResponseWriter's ReadFrom, a body over 512
-// bytes would reach TCPConn.ReadFrom, which allocates a fresh 32 KB buffer.
+// forwardBufs holds forwardPeer's copy buffers: neither the peer's
+// response body nor httpx.Server's buffering ResponseWriter offers
+// io.CopyBuffer a shortcut, so without one it allocates 32 KB per forward.
 var forwardBufs = sync.Pool{New: func() any { return new([32 << 10]byte) }}
-
-// writerOnly hides a writer's ReadFrom from io.CopyBuffer.
-type writerOnly struct{ io.Writer }

@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net"
+	"strings"
 	"sync"
 	"time"
 
@@ -145,31 +146,77 @@ func (c *Client) reconnectLocked() error {
 	return nil
 }
 
+// roundTrip sends req and reads its response. A connection that sat idle
+// may have died with the server (a restart, say) without the client
+// noticing: when its write fails, or its read fails before any response
+// byte for a request that cannot have changed anything (readOnly), req is
+// sent once more on a connection dialed at once, outside the backoff that
+// only a failure of the server should arm.
 func (c *Client) roundTrip(req Request) (Response, error) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if c.closed {
 		return Response{}, errors.New("wire: client closed")
 	}
-	if c.conn == nil {
-		if err := c.reconnectLocked(); err != nil {
+	reused := c.conn != nil
+	for {
+		if c.conn == nil {
+			if err := c.reconnectLocked(); err != nil {
+				return Response{}, err
+			}
+		}
+		resp, retry, err := c.exchangeLocked(&req)
+		if err == nil {
+			c.fails = 0
+			return resp, nil
+		}
+		if !reused || !retry {
+			c.dropLocked()
 			return Response{}, err
 		}
+		c.conn.Close()
+		c.conn, c.cc = nil, nil
+		reused = false
 	}
+}
+
+// exchangeLocked writes req on the current connection and reads the
+// response. retry reports a failure that leaves req safe to send again:
+// the write failed, or the read failed (not by timing out) before any
+// response byte of a readOnly request. Callers hold c.mu.
+func (c *Client) exchangeLocked(req *Request) (resp Response, retry bool, err error) {
 	if t := c.timeout(); t > 0 {
 		c.conn.SetDeadline(time.Now().Add(t))
 	}
-	if err := c.cc.writeRequest(&req); err != nil {
-		c.dropLocked()
-		return Response{}, fmt.Errorf("wire: send: %w", err)
+	if err := c.cc.writeRequest(req); err != nil {
+		return resp, true, fmt.Errorf("wire: send: %w", err)
 	}
-	var resp Response
+	if _, err := c.cc.r.Peek(1); err != nil {
+		var ne net.Error
+		timeout := errors.As(err, &ne) && ne.Timeout()
+		return resp, readOnly(req) && !timeout, fmt.Errorf("wire: receive: %w", err)
+	}
 	if err := c.cc.readResponse(&resp); err != nil {
-		c.dropLocked()
-		return Response{}, fmt.Errorf("wire: receive: %w", err)
+		return resp, false, fmt.Errorf("wire: receive: %w", err)
 	}
-	c.fails = 0
-	return resp, nil
+	return resp, false, nil
+}
+
+// readOnly reports whether req cannot change the database: a log read, or
+// a statement whose keyword is SELECT.
+func readOnly(req *Request) bool {
+	if req.Op == OpLogSince {
+		return true
+	}
+	if req.Op != OpQuery {
+		return false
+	}
+	q := strings.TrimLeft(req.Query, " \t\r\n(")
+	return len(q) >= 6 && strings.EqualFold(q[:6], "SELECT") && (len(q) == 6 || !isWordByte(q[6]))
+}
+
+func isWordByte(c byte) bool {
+	return c == '_' || '0' <= c && c <= '9' || 'a' <= c && c <= 'z' || 'A' <= c && c <= 'Z'
 }
 
 // Query executes one SQL statement and returns its result.

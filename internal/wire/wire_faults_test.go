@@ -3,8 +3,11 @@ package wire
 import (
 	"net"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"repro/internal/engine"
 )
 
 // TestClientRecoversAfterMidStreamError drives the client against a server
@@ -152,5 +155,84 @@ func TestClientBackoffWindow(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > time.Second {
 		t.Fatalf("backoff fast-fail was not fast: %s", elapsed)
+	}
+}
+
+// TestQueryAfterServerRestart restarts the server on the same address: the
+// client's connection died with the old process while idle, and the next
+// Query must still succeed, redialing at once instead of failing first.
+func TestQueryAfterServerRestart(t *testing.T) {
+	db := engine.NewDatabase()
+	if _, err := db.ExecScript(`CREATE TABLE kv (k TEXT, v INT); INSERT INTO kv VALUES ('a', 1);`); err != nil {
+		t.Fatal(err)
+	}
+	s1 := NewServer(db)
+	addr, err := s1.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	c, err := Dial(addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer c.Close()
+	c.BackoffBase = time.Minute // a backoff wait would fail the Query below
+	if _, err := c.Query("SELECT v FROM kv"); err != nil {
+		t.Fatal(err)
+	}
+	s1.Close()
+	s2 := NewServer(db)
+	if _, err := s2.Listen(addr); err != nil {
+		t.Fatalf("rebind %s: %v", addr, err)
+	}
+	defer s2.Close()
+	for _, q := range []string{"SELECT v FROM kv", "UPDATE kv SET v = 2"} {
+		if _, err := c.Query(q); err != nil {
+			t.Fatalf("%s after the restart: %v", q, err)
+		}
+	}
+	if _, _, _, err := c.LogSince(1); err != nil {
+		t.Fatalf("LogSince after the restart: %v", err)
+	}
+}
+
+// TestResendOnlyReadOnlyRequests: a server that reads a request and hangs
+// up without an answer may have run it. A SELECT or a log read is sent
+// again on a fresh connection; a write is not.
+func TestResendOnlyReadOnlyRequests(t *testing.T) {
+	for _, tc := range []struct {
+		req   Request
+		sends int
+	}{
+		{Request{Op: OpQuery, Query: " (select v FROM kv"}, 2},
+		{Request{Op: OpLogSince, LSN: 1}, 2},
+		{Request{Op: OpQuery, Query: "UPDATE kv SET v = 2"}, 1},
+		{Request{Op: OpQuery, Query: "SELECTED"}, 1},
+	} {
+		var sends atomic.Int32
+		addr := startFakeServer(t, func(i int, conn net.Conn, cc *codec) {
+			for {
+				var req Request
+				if cc.readRequest(&req) != nil {
+					return
+				}
+				sends.Add(1)
+				if i == 0 { // the first connection dies with its first request
+					return
+				}
+				if cc.writeResponse(&Response{}) != nil {
+					return
+				}
+			}
+		})
+		c, err := Dial(addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		_, err = c.roundTrip(tc.req)
+		c.Close()
+		if got := int(sends.Load()); got != tc.sends || (err == nil) != (tc.sends == 2) {
+			t.Fatalf("%+v: sent %d times (err %v), want %d", tc.req, got, err, tc.sends)
+		}
 	}
 }

@@ -13,6 +13,7 @@ import (
 	"repro/internal/driver"
 	"repro/internal/engine"
 	"repro/internal/faults"
+	"repro/internal/httpx"
 	"repro/internal/invalidator"
 	"repro/internal/obs"
 	"repro/internal/trace"
@@ -187,7 +188,7 @@ type Site struct {
 
 	feed      *wire.LogFeed
 	appHTTP   []*http.Server
-	proxyHTTP *http.Server
+	proxyHTTP *httpx.Server
 	appLn     []net.Listener
 	proxyLn   net.Listener
 	appLB     *balancer.Balancer
@@ -195,7 +196,7 @@ type Site struct {
 	pollConn  driver.Conn
 	pollConns []driver.Conn
 
-	cacheHTTP   []*http.Server
+	cacheHTTP   []*httpx.Server
 	cacheLB     *balancer.Balancer
 	streamHTTP  *http.Server
 	consumers   []*ejectConsumer
@@ -312,7 +313,8 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 
 	// Caching reverse proxy tier (the dynamic web content cache): a single
 	// proxy, or — with Cluster.CacheNodes > 1 — a consistent-hash cluster
-	// of them behind a hash-routing front balancer.
+	// of them behind a hash-routing front balancer. Every node serves on
+	// httpx.Server, so a hit crosses no net/http framing.
 	if cfg.Cluster.CacheNodes > 1 {
 		if err := s.buildCacheCluster(cfg); err != nil {
 			return nil, err
@@ -327,7 +329,7 @@ func NewSite(cfg SiteConfig) (*Site, error) {
 		if err != nil {
 			return nil, err
 		}
-		s.proxyHTTP = &http.Server{Handler: s.Proxy}
+		s.proxyHTTP = &httpx.Server{Handler: s.Proxy}
 		go s.proxyHTTP.Serve(s.proxyLn)
 		s.CacheURL = "http://" + s.proxyLn.Addr().String()
 	}
@@ -471,7 +473,7 @@ func (s *Site) buildCacheCluster(cfg SiteConfig) error {
 		proxy.Fragments = cfg.Fragments
 		proxy.CookieAllow = cfg.CookieAllow
 		proxy.Cluster = node
-		hs := &http.Server{Handler: proxy}
+		hs := &httpx.Server{Handler: proxy}
 		go hs.Serve(lns[i])
 		s.Caches = append(s.Caches, cache)
 		s.Proxies = append(s.Proxies, proxy)
