@@ -17,12 +17,13 @@ test:
 # synchronous log reads, and the wire client's connection state machine
 # (drop and redial with backoff, statement re-prepare, stream resubscribe)
 # and the eject-stream consumer's cursor/epoch state machine are
-# timing-driven too, so these run three more times: a flaky one should
-# show up here, not on someone's laptop.
+# timing-driven too, as is the wakeup property every feed.Log shares, so
+# these run three more times: a flaky one should show up here, not on
+# someone's laptop.
 race:
 	$(GO) test -race ./...
 	$(GO) test -race -count=3 -run 'TestRunLoop|TestCycleHelpFirstJoin|TestPoisonedFill|TestSiteFeed|TestMapper' . ./internal/invalidator/ ./internal/webcache/ ./internal/sniffer/
-	$(GO) test -race -count=3 ./internal/balancer/ ./internal/wire/ ./internal/cluster/
+	$(GO) test -race -count=3 ./internal/balancer/ ./internal/wire/ ./internal/cluster/ ./internal/feed/
 
 # Fault-tolerance suite under the race detector: the chaos integration
 # tests (full pipeline under injected faults), the invalidator's recovery

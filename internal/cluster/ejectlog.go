@@ -5,13 +5,12 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
-	"math/rand/v2"
 	"net/http"
 	"strconv"
-	"sync"
 	"sync/atomic"
 	"time"
 
+	"repro/internal/feed"
 	"repro/internal/httpx"
 	"repro/internal/trace"
 )
@@ -48,18 +47,11 @@ type EjectRecord struct {
 	Traces string   `json:"traces,omitempty"`
 }
 
-// EjectLog is the append-only, bounded-retention eject stream. Sequences
-// are dense and start at 1, like every cursor-addressed log here; the
-// epoch, drawn at random per log, tells a consumer that the sequences it
-// holds a cursor into belong to a log that no longer exists.
+// EjectLog is the eject stream: a feed.Log of eject records numbered by
+// Seq. Its epoch tells a consumer that the sequences it holds a cursor into
+// belong to a log that no longer exists.
 type EjectLog struct {
-	epoch   int64
-	mu      sync.Mutex
-	recs    []EjectRecord
-	first   int64 // seq of recs[0]; == next when empty
-	next    int64
-	retain  int
-	changed chan struct{}
+	*feed.Log[EjectRecord]
 }
 
 // NewEjectLog creates a log retaining up to retain records
@@ -68,73 +60,29 @@ func NewEjectLog(retain int) *EjectLog {
 	if retain <= 0 {
 		retain = DefaultEjectRetain
 	}
-	epoch := rand.Int64()
-	for epoch == 0 { // 0 is a consumer's "no epoch seen yet"
-		epoch = rand.Int64()
-	}
-	return &EjectLog{epoch: epoch, first: 1, next: 1, retain: retain, changed: make(chan struct{})}
+	return &EjectLog{feed.NewLog(retain, func(rec *EjectRecord, seq int64) { rec.Seq = seq })}
 }
 
 // Append adds an eject batch and returns its sequence.
 func (l *EjectLog) Append(keys []string) int64 {
-	return l.append(EjectRecord{Keys: append([]string(nil), keys...)})
+	return l.Log.Append(EjectRecord{Keys: append([]string(nil), keys...)})
 }
 
 // AppendClear adds a whole-cache clear record.
 func (l *EjectLog) AppendClear() int64 {
-	return l.append(EjectRecord{Clear: true})
-}
-
-func (l *EjectLog) append(rec EjectRecord) int64 {
-	l.mu.Lock()
-	rec.Seq = l.next
-	l.next++
-	l.recs = append(l.recs, rec)
-	if drop := len(l.recs) - l.retain; drop > 0 {
-		l.recs = append(l.recs[:0:0], l.recs[drop:]...)
-		l.first += int64(drop)
-	}
-	ch := l.changed
-	l.changed = make(chan struct{})
-	l.mu.Unlock()
-	close(ch)
-	return rec.Seq
+	return l.Log.Append(EjectRecord{Clear: true})
 }
 
 // Since reads all records with seq >= cursor — the feed.Pull shape:
 // records, whether records the caller wanted were already discarded, the
 // cursor to resume from, and the oldest retained sequence.
 func (l *EjectLog) Since(cursor int64) (recs []EjectRecord, truncated bool, next, first int64) {
-	if cursor < 1 {
-		cursor = 1
-	}
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if cursor < l.first {
-		truncated = true
-		cursor = l.first
-	}
-	if off := cursor - l.first; off < int64(len(l.recs)) {
-		recs = append([]EjectRecord(nil), l.recs[off:]...)
-	}
-	return recs, truncated, l.next, l.first
-}
-
-// Changed returns a channel closed on the next append. Obtain it before
-// reading Since, re-obtain after every wakeup.
-func (l *EjectLog) Changed() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.changed
+	return l.SinceNext(cursor)
 }
 
 // NextSeq returns the sequence the next append will get — the stream head,
 // which a caught-up consumer's cursor equals.
-func (l *EjectLog) NextSeq() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.next
-}
+func (l *EjectLog) NextSeq() int64 { return l.Next() }
 
 // streamPage is the stream handler's JSON shape, mirroring the log
 // exporter's pages: records plus resume/truncation context and the log's
@@ -173,35 +121,15 @@ func (l *EjectLog) Handler() http.Handler {
 				http.Error(w, "bad wait", http.StatusBadRequest)
 				return
 			}
-			if d > DefaultStreamMaxWait {
-				d = DefaultStreamMaxWait
-			}
-			wait = d
+			wait = min(d, DefaultStreamMaxWait)
 		}
-		recs, trunc, next, first := l.Since(cursor)
-		if len(recs) == 0 && !trunc && wait > 0 {
-			deadline := time.NewTimer(wait)
-			defer deadline.Stop()
-		poll:
-			for {
-				// Channel before re-read, so an append racing the read either
-				// lands in the read or wakes us — never lost.
-				ch := l.Changed()
-				recs, trunc, next, first = l.Since(cursor)
-				if len(recs) > 0 || trunc {
-					break
-				}
-				select {
-				case <-ch:
-				case <-deadline.C:
-					break poll
-				case <-r.Context().Done():
-					return
-				}
-			}
+		l.Wait(r.Context().Done(), cursor, wait)
+		if r.Context().Err() != nil {
+			return
 		}
+		recs, trunc, next, first := l.SinceNext(cursor)
 		w.Header().Set("Content-Type", "application/json")
-		json.NewEncoder(w).Encode(streamPage{Records: recs, Truncated: trunc, Next: next, First: first, Epoch: l.epoch})
+		json.NewEncoder(w).Encode(streamPage{Records: recs, Truncated: trunc, Next: next, First: first, Epoch: l.Epoch()})
 	})
 }
 
@@ -231,7 +159,7 @@ func (e StreamEjector) EjectTraced(keys []string, ctxs map[string]trace.Context)
 			list = append(list, ctx)
 		}
 	}
-	e.Log.append(EjectRecord{Keys: append([]string(nil), keys...), Traces: trace.FormatContexts(list)})
+	e.Log.Log.Append(EjectRecord{Keys: append([]string(nil), keys...), Traces: trace.FormatContexts(list)})
 	return nil
 }
 

@@ -49,10 +49,12 @@ type LogPuller interface {
 // EngineLogPuller adapts an in-process engine.UpdateLog.
 type EngineLogPuller struct{ Log *engine.UpdateLog }
 
-// PullSince implements LogPuller.
+// PullSince implements LogPuller. The resume cursor comes from the same
+// read as the records: a NextLSN read after Since would skip whatever was
+// appended in between.
 func (p EngineLogPuller) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error) {
-	recs, trunc := p.Log.Since(lsn)
-	return recs, trunc, p.Log.NextLSN(), nil
+	recs, trunc, next, _ := p.Log.SinceNext(lsn)
+	return recs, trunc, next, nil
 }
 
 type cached struct {

@@ -1,11 +1,11 @@
 package driver
 
 import (
-	"sync"
 	"sync/atomic"
 	"time"
 
 	"repro/internal/engine"
+	"repro/internal/feed"
 )
 
 // QueryLogEntry is one record of the query log: the exact SQL text the
@@ -21,18 +21,11 @@ type QueryLogEntry struct {
 	Err     string    // non-empty when the query failed
 }
 
-// QueryLog is a bounded, thread-safe log of executed queries. The sniffer's
-// request-to-query mapper reads it incrementally (SinceNext); the
-// log export's long poll waits on Changed.
+// QueryLog is the bounded, thread-safe query log, a feed.Log of entries
+// numbered by ID. The sniffer's request-to-query mapper reads it
+// incrementally (SinceNext); the log export's long poll waits on it.
 type QueryLog struct {
-	mu      sync.Mutex
-	entries []QueryLogEntry
-	firstID int64
-	nextID  int64
-	cap     int
-	// changed is closed on every append and then replaced (close-and-replace
-	// broadcast; see Changed).
-	changed chan struct{}
+	*feed.Log[QueryLogEntry]
 }
 
 // DefaultQueryLogCapacity bounds query-log memory when no capacity is given.
@@ -44,80 +37,11 @@ func NewQueryLog(capacity int) *QueryLog {
 	if capacity <= 0 {
 		capacity = DefaultQueryLogCapacity
 	}
-	return &QueryLog{firstID: 1, nextID: 1, cap: capacity, changed: make(chan struct{})}
-}
-
-// Append adds an entry, assigning its ID.
-func (l *QueryLog) Append(e QueryLogEntry) int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	e.ID = l.nextID
-	l.nextID++
-	l.entries = append(l.entries, e)
-	// Amortized trimming: drop down to capacity only once the log exceeds
-	// 1.5× capacity, so appends stay O(1).
-	if len(l.entries) > l.cap*3/2 {
-		drop := len(l.entries) - l.cap
-		l.entries = append(l.entries[:0:0], l.entries[drop:]...)
-		l.firstID += int64(drop)
-	}
-	close(l.changed)
-	l.changed = make(chan struct{})
-	return e.ID
-}
-
-// Since returns a copy of entries with ID >= id and whether older entries
-// were discarded.
-func (l *QueryLog) Since(id int64) (entries []QueryLogEntry, truncated bool) {
-	entries, truncated, _, _ = l.SinceNext(id)
-	return entries, truncated
-}
-
-// SinceNext is Since plus the resume cursor and truncation context, observed
-// atomically: next is one past the last returned entry, first is the oldest
-// retained ID.
-func (l *QueryLog) SinceNext(id int64) (entries []QueryLogEntry, truncated bool, next, first int64) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	if id < 1 {
-		id = 1
-	}
-	truncated = id < l.firstID
-	next = l.nextID
-	first = l.firstID
-	start := id - l.firstID
-	if start < 0 {
-		start = 0
-	}
-	if start >= int64(len(l.entries)) {
-		return nil, truncated, next, first
-	}
-	out := make([]QueryLogEntry, int64(len(l.entries))-start)
-	copy(out, l.entries[start:])
-	return out, truncated, next, first
-}
-
-// Changed returns a channel closed when an entry may have been appended since
-// the call; re-obtain it after each wakeup.
-func (l *QueryLog) Changed() <-chan struct{} {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.changed
+	return &QueryLog{feed.NewLog(capacity, func(e *QueryLogEntry, id int64) { e.ID = id })}
 }
 
 // NextID returns the ID the next entry will receive.
-func (l *QueryLog) NextID() int64 {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.nextID
-}
-
-// Len returns the number of retained entries.
-func (l *QueryLog) Len() int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return len(l.entries)
-}
+func (l *QueryLog) NextID() int64 { return l.Next() }
 
 // ---------------------------------------------------------------------------
 // LoggingDriver: the JDBC wrapper (paper §3.2)

@@ -1,14 +1,18 @@
-// Package feed is a small, dependency-free abstraction for resumable,
-// cursor-addressed event streams. A Hub turns an append-only log addressed
-// by a monotonically increasing cursor (LSN or entry ID) with bounded
-// retention — its incremental read operation plus its change notification —
-// into a fan-out Feed: subscribers name the cursor they want to resume from
-// and receive batches as records arrive, blocking on arrival instead of
-// re-polling, with truncation surfaced in-band when the source discarded
-// records the subscriber had not yet read. Its one source is the database
-// update log, which the wire server streams to SUBSCRIBE_LOG clients; the
-// request and query logs share the invalidator's process and are read in
-// place.
+// Package feed is the one abstraction for the resumable, cursor-addressed
+// streams of this system. Log is the append-only, bounded log all four of
+// them are built on — the database update log, the request and query logs
+// the sniffer maps from, and the eject stream the cache nodes consume:
+// dense sequences from 1, exact-capacity retention, truncation reported to
+// a reader whose cursor fell out of the window, a random epoch that names
+// the log, and a change channel plus one long-poll wait (Log.Wait) that
+// wake on the append itself. A Hub turns such a log — its incremental read
+// plus its change notification — into a fan-out Feed: subscribers name the
+// cursor they want to resume from and receive batches as records arrive,
+// blocking on arrival instead of re-polling, with truncation surfaced
+// in-band. The wire server streams the update log to SUBSCRIBE_LOG clients
+// through a Hub; the log exporter and the eject stream serve HTTP long
+// polls through Log.Wait; the request and query logs share the
+// invalidator's process and are read in place.
 //
 // Delivery is pull-through-push: each subscription owns a pump goroutine
 // that reads the source incrementally and sends batches on a bounded

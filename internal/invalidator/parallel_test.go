@@ -252,13 +252,15 @@ func TestCycleHelpFirstJoin(t *testing.T) {
 	}
 }
 
-// countingPoller counts Query calls and tracks peak concurrency.
+// countingPoller counts Query calls and tracks peak concurrency. A call
+// blocks until gate closes when gate is set.
 type countingPoller struct {
 	mu      sync.Mutex
 	calls   int
 	active  int
 	peak    int
 	delay   time.Duration
+	gate    chan struct{}
 	results map[string]*engine.Result
 }
 
@@ -274,6 +276,9 @@ func (p *countingPoller) Query(sql string) (*engine.Result, error) {
 	if p.delay > 0 {
 		time.Sleep(p.delay)
 	}
+	if p.gate != nil {
+		<-p.gate
+	}
 	p.mu.Lock()
 	p.active--
 	p.mu.Unlock()
@@ -286,7 +291,10 @@ func (p *countingPoller) Query(sql string) (*engine.Result, error) {
 // TestConcurrentPollerDedup: identical in-flight query texts collapse to
 // one backend call; distinct texts fan out round-robin.
 func TestConcurrentPollerDedup(t *testing.T) {
-	backend := &countingPoller{delay: 5 * time.Millisecond}
+	// The backend holds the one call it gets until the other 15 callers
+	// are waiting on it inside Query, so the overlap does not depend on
+	// scheduling.
+	backend := &countingPoller{gate: make(chan struct{})}
 	cp := NewConcurrentPoller(backend, backend, backend)
 	var wg sync.WaitGroup
 	for i := 0; i < 16; i++ {
@@ -298,6 +306,10 @@ func TestConcurrentPollerDedup(t *testing.T) {
 			}
 		}()
 	}
+	for cp.Stats().Dedups < 15 {
+		time.Sleep(100 * time.Microsecond)
+	}
+	close(backend.gate)
 	wg.Wait()
 	backend.mu.Lock()
 	calls := backend.calls

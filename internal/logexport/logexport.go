@@ -20,40 +20,28 @@ import (
 	"repro/internal/appserver"
 	"repro/internal/backoff"
 	"repro/internal/driver"
+	"repro/internal/feed"
 	"repro/internal/httpx"
 )
 
 // DefaultPathPrefix is where the exporter mounts its endpoints.
 const DefaultPathPrefix = "/_cacheportal"
 
-// wire forms. Times travel as Unix nanoseconds.
-type wireRequestEntry struct {
-	ID       int64   `json:"id"`
-	Servlet  string  `json:"servlet"`
-	Request  string  `json:"request"`
-	Cookies  string  `json:"cookies"`
-	Post     string  `json:"post"`
-	CacheKey string  `json:"cache_key"`
-	Receive  int64   `json:"receive_ns"`
-	Deliver  int64   `json:"deliver_ns"`
-	Status   int     `json:"status"`
-	Cached   bool    `json:"cached"`
-	LeaseIDs []int64 `json:"lease_ids,omitempty"`
-}
+// The pages carry the logs' own entries, in encoding/json's default form.
+type (
+	wireRequestEntry = appserver.RequestLogEntry
+	wireQueryEntry   = driver.QueryLogEntry
+)
 
-type wireQueryEntry struct {
-	ID      int64  `json:"id"`
-	LeaseID int64  `json:"lease_id,omitempty"`
-	SQL     string `json:"sql"`
-	Receive int64  `json:"receive_ns"`
-	Deliver int64  `json:"deliver_ns"`
-	Err     string `json:"err,omitempty"`
-}
-
+// logPage is one pull's answer, the same shape for both logs: the entries
+// at or after the cursor, whether the log had already trimmed past it, the
+// cursor to pull from next, the oldest retained entry, and the log's epoch.
 type logPage[T any] struct {
 	Entries   []T   `json:"entries"`
 	Truncated bool  `json:"truncated"`
 	Next      int64 `json:"next"` // pass as ?since= on the next pull
+	First     int64 `json:"first"`
+	Epoch     int64 `json:"epoch"`
 }
 
 // DefaultMaxWait caps the ?wait= long-poll duration an exporter will honor.
@@ -75,8 +63,12 @@ type Exporter struct {
 // DefaultPathPrefix.
 func (e *Exporter) Handler() http.Handler {
 	mux := http.NewServeMux()
-	mux.HandleFunc(DefaultPathPrefix+"/logs/requests", e.serveRequests)
-	mux.HandleFunc(DefaultPathPrefix+"/logs/queries", e.serveQueries)
+	mux.HandleFunc(DefaultPathPrefix+"/logs/requests", func(w http.ResponseWriter, r *http.Request) {
+		servePage(w, r, e.Requests.Log, e.waitParam(r))
+	})
+	mux.HandleFunc(DefaultPathPrefix+"/logs/queries", func(w http.ResponseWriter, r *http.Request) {
+		servePage(w, r, e.Queries.Log, e.waitParam(r))
+	})
 	return mux
 }
 
@@ -102,80 +94,16 @@ func (e *Exporter) waitParam(r *http.Request) time.Duration {
 	if max <= 0 {
 		max = DefaultMaxWait
 	}
-	if d > max {
-		d = max
-	}
-	return d
+	return min(d, max)
 }
 
-// longPoll blocks until the log (observed via changed/head) has entries at or
-// past since, the wait elapses, or the client goes away. The changed channel
-// is obtained before re-checking the head, so an append between the check and
-// the wait cannot be missed.
-func longPoll(r *http.Request, wait time.Duration, changed func() <-chan struct{}, head func() int64, since int64) {
-	if wait <= 0 || head() > since {
-		return
-	}
-	deadline := time.Now().Add(wait)
-	for {
-		ch := changed()
-		if head() > since {
-			return
-		}
-		remaining := time.Until(deadline)
-		if remaining <= 0 {
-			return
-		}
-		timer := time.NewTimer(remaining)
-		select {
-		case <-ch:
-			timer.Stop()
-		case <-timer.C:
-			return
-		case <-r.Context().Done():
-			timer.Stop()
-			return
-		}
-	}
-}
-
-func (e *Exporter) serveRequests(w http.ResponseWriter, r *http.Request) {
+// servePage answers one pull of log: the page at the request's cursor,
+// after a long poll of up to wait when the cursor is at the head.
+func servePage[T any](w http.ResponseWriter, r *http.Request, log *feed.Log[T], wait time.Duration) {
 	since := sinceParam(r)
-	longPoll(r, e.waitParam(r), e.Requests.Changed, e.Requests.NextID, since)
-	entries, truncated := e.Requests.Since(since)
-	page := logPage[wireRequestEntry]{Truncated: truncated, Next: since}
-	for _, en := range entries {
-		page.Entries = append(page.Entries, wireRequestEntry{
-			ID: en.ID, Servlet: en.Servlet, Request: en.Request,
-			Cookies: en.Cookies, Post: en.Post, CacheKey: en.CacheKey,
-			Receive: en.Receive.UnixNano(), Deliver: en.Deliver.UnixNano(),
-			Status: en.Status, Cached: en.Cached, LeaseIDs: en.LeaseIDs,
-		})
-		page.Next = en.ID + 1
-	}
-	if page.Next < e.Requests.NextID() && len(page.Entries) == 0 {
-		page.Next = e.Requests.NextID()
-	}
-	writeJSON(w, page)
-}
-
-func (e *Exporter) serveQueries(w http.ResponseWriter, r *http.Request) {
-	since := sinceParam(r)
-	longPoll(r, e.waitParam(r), e.Queries.Changed, e.Queries.NextID, since)
-	entries, truncated := e.Queries.Since(since)
-	page := logPage[wireQueryEntry]{Truncated: truncated, Next: since}
-	for _, en := range entries {
-		page.Entries = append(page.Entries, wireQueryEntry{
-			ID: en.ID, LeaseID: en.LeaseID, SQL: en.SQL,
-			Receive: en.Receive.UnixNano(), Deliver: en.Deliver.UnixNano(),
-			Err: en.Err,
-		})
-		page.Next = en.ID + 1
-	}
-	if page.Next < e.Queries.NextID() && len(page.Entries) == 0 {
-		page.Next = e.Queries.NextID()
-	}
-	writeJSON(w, page)
+	log.Wait(r.Context().Done(), since, wait)
+	entries, truncated, next, first := log.SinceNext(since)
+	writeJSON(w, logPage[T]{Entries: entries, Truncated: truncated, Next: next, First: first, Epoch: log.Epoch()})
 }
 
 func writeJSON(w http.ResponseWriter, v any) {
@@ -205,7 +133,10 @@ const DefaultLongPoll = 5 * time.Second
 // Mirror pulls both remote logs into local RequestLog/QueryLog instances so
 // an unmodified sniffer.Mapper can run against them on another machine.
 // Sync pulls one snapshot of each log; Run long-polls both endpoints on
-// dedicated goroutines so entries land as they are appended.
+// dedicated goroutines so entries land as they are appended. A loss
+// upstream — the exporter's log trimmed past the mirror's cursor, or a
+// restarted application server began a new log — reaches the local log as
+// a skipped sequence, so the mapper reading it reports truncation.
 type Mirror struct {
 	// BaseURL is the application server's base URL (the exporter is
 	// expected under BaseURL + DefaultPathPrefix).
@@ -221,44 +152,45 @@ type Mirror struct {
 	Requests *appserver.RequestLog
 	Queries  *driver.QueryLog
 
-	// One mutex per log, held across a whole page pull (fetch, append,
-	// cursor advance): Run's pumps and explicit Sync calls may interleave,
-	// and every remote entry must be appended locally exactly once. The two
-	// logs stay independent so one log's long poll never stalls the other.
-	reqMu     sync.Mutex
-	qMu       sync.Mutex
-	nextReq   int64
-	nextQuery int64
+	reqs    mirrored[wireRequestEntry]
+	queries mirrored[wireQueryEntry]
+}
 
-	// Sync preemption: a pump's parked long poll holds the log mutex, so a
-	// Sync that simply queued behind it would wait out the whole ?wait=
-	// window — fatal for event-driven cycles, whose soundness pull must run
-	// at roundtrip latency. Each pump publishes a cancel for its in-flight
-	// park (reqCancel/qCancel); Sync bumps the waiter count and fires the
-	// cancel, and a pump that sees waiters > 0 downgrades to wait=0 so it
-	// cannot re-park ahead of the Sync. Order matters on both sides: the
-	// pump stores the cancel before checking the count, Sync bumps the
-	// count before loading the cancel — whichever way the race lands, the
-	// park is either cut short or never entered.
-	reqSyncs  atomic.Int32
-	qSyncs    atomic.Int32
-	reqCancel atomic.Value // context.CancelFunc
-	qCancel   atomic.Value // context.CancelFunc
+// mirrored is the pull state of one remote log. Its mutex is held across a
+// whole page pull (fetch, append, cursor advance): Run's pumps and explicit
+// Sync calls may interleave, and every remote entry must be appended
+// locally exactly once. The two logs stay independent so one log's long
+// poll never stalls the other.
+//
+// Sync preemption: a pump's parked long poll holds the mutex, so a Sync
+// that simply queued behind it would wait out the whole ?wait= window —
+// fatal for event-driven cycles, whose soundness pull must run at
+// roundtrip latency. The pump publishes a cancel for its in-flight park;
+// Sync bumps the waiter count and fires the cancel, and a pump that sees
+// waiters > 0 downgrades to wait=0 so it cannot re-park ahead of the Sync.
+// Order matters on both sides: the pump stores the cancel before checking
+// the count, Sync bumps the count before loading the cancel — whichever
+// way the race lands, the park is either cut short or never entered.
+type mirrored[T any] struct {
+	path string // endpoint name under DefaultPathPrefix/logs/
+
+	mu    sync.Mutex
+	next  int64 // remote cursor
+	epoch int64 // remote log the cursor indexes; 0 before the first page
+
+	syncs  atomic.Int32
+	cancel atomic.Value // context.CancelFunc
 }
 
 // NewMirror builds a mirror of the exporter at baseURL.
 func NewMirror(baseURL string) *Mirror {
 	return &Mirror{
-		BaseURL:   baseURL,
-		Requests:  appserver.NewRequestLog(0),
-		Queries:   driver.NewQueryLog(0),
-		nextReq:   1,
-		nextQuery: 1,
+		BaseURL:  baseURL,
+		Requests: appserver.NewRequestLog(0),
+		Queries:  driver.NewQueryLog(0),
+		reqs:     mirrored[wireRequestEntry]{path: "requests", next: 1},
+		queries:  mirrored[wireQueryEntry]{path: "queries", next: 1},
 	}
-}
-
-func (m *Mirror) client() *http.Client {
-	return httpx.Client(m.Client)
 }
 
 func getJSON[T any](ctx context.Context, c *http.Client, url string, out *logPage[T]) error {
@@ -277,98 +209,68 @@ func getJSON[T any](ctx context.Context, c *http.Client, url string, out *logPag
 	return json.NewDecoder(resp.Body).Decode(out)
 }
 
-func (m *Mirror) logURL(log string, cursor int64, wait time.Duration) string {
-	u := fmt.Sprintf("%s%s/logs/%s?cursor=%d", m.BaseURL, DefaultPathPrefix, log, cursor)
-	if wait > 0 {
-		u += "&wait=" + wait.String()
-	}
-	return u
-}
-
-// syncRequests pulls one request-log page (held open up to wait when > 0)
-// and mirrors it locally.
-func (m *Mirror) syncRequests(ctx context.Context, wait time.Duration) (int, error) {
-	m.reqMu.Lock()
-	defer m.reqMu.Unlock()
+// sync pulls one page (held open up to wait when > 0) from the mirror's
+// exporter into local, returning how many entries it appended.
+func (s *mirrored[T]) sync(ctx context.Context, m *Mirror, local *feed.Log[T], wait time.Duration) (int, error) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
 	if wait > 0 {
 		var cancel context.CancelFunc
 		ctx, cancel = context.WithCancel(ctx)
 		defer cancel()
-		m.reqCancel.Store(cancel)
-		if m.reqSyncs.Load() > 0 {
+		s.cancel.Store(cancel)
+		if s.syncs.Load() > 0 {
 			wait = 0 // a Sync is waiting for this lock; don't park on its turn
 		}
 	}
-	var page logPage[wireRequestEntry]
-	if err := getJSON(ctx, m.client(), m.logURL("requests", m.nextReq, wait), &page); err != nil {
+	url := fmt.Sprintf("%s%s/logs/%s?cursor=%d", m.BaseURL, DefaultPathPrefix, s.path, s.next)
+	if wait > 0 {
+		url += "&wait=" + wait.String()
+	}
+	var page logPage[T]
+	if err := getJSON(ctx, httpx.Client(m.Client), url, &page); err != nil {
 		return 0, err
 	}
+	if (s.epoch != 0 && page.Epoch != s.epoch) || page.Next < s.next {
+		// The cursor indexes a log that is gone: report the loss and
+		// re-read the new log from its oldest entry.
+		local.Skip()
+		s.epoch, s.next = page.Epoch, page.First
+		return 0, nil
+	}
+	s.epoch = page.Epoch
+	if page.Truncated {
+		local.Skip()
+	}
 	for _, en := range page.Entries {
-		m.Requests.Append(appserver.RequestLogEntry{
-			Servlet: en.Servlet, Request: en.Request, Cookies: en.Cookies,
-			Post: en.Post, CacheKey: en.CacheKey,
-			Receive: time.Unix(0, en.Receive), Deliver: time.Unix(0, en.Deliver),
-			Status: en.Status, Cached: en.Cached, LeaseIDs: en.LeaseIDs,
-		})
+		local.Append(en)
 	}
-	if page.Next > m.nextReq {
-		m.nextReq = page.Next
-	}
+	s.next = page.Next
 	return len(page.Entries), nil
 }
 
-// syncQueries pulls one query-log page (held open up to wait when > 0) and
-// mirrors it locally.
-func (m *Mirror) syncQueries(ctx context.Context, wait time.Duration) (int, error) {
-	m.qMu.Lock()
-	defer m.qMu.Unlock()
-	if wait > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithCancel(ctx)
-		defer cancel()
-		m.qCancel.Store(cancel)
-		if m.qSyncs.Load() > 0 {
-			wait = 0
-		}
+// preempt runs one sync at wait=0, cutting short a pump's parked long poll
+// instead of queueing behind it (the pump retries from its cursor, losing
+// nothing).
+func (s *mirrored[T]) preempt(m *Mirror, local *feed.Log[T]) (int, error) {
+	s.syncs.Add(1)
+	defer s.syncs.Add(-1)
+	if c, ok := s.cancel.Load().(context.CancelFunc); ok {
+		c()
 	}
-	var page logPage[wireQueryEntry]
-	if err := getJSON(ctx, m.client(), m.logURL("queries", m.nextQuery, wait), &page); err != nil {
-		return 0, err
-	}
-	for _, en := range page.Entries {
-		m.Queries.Append(driver.QueryLogEntry{
-			LeaseID: en.LeaseID, SQL: en.SQL,
-			Receive: time.Unix(0, en.Receive), Deliver: time.Unix(0, en.Deliver),
-			Err: en.Err,
-		})
-	}
-	if page.Next > m.nextQuery {
-		m.nextQuery = page.Next
-	}
-	return len(page.Entries), nil
+	return s.sync(context.Background(), m, local, 0)
 }
 
 // Sync pulls one page of each log. It returns how many entries arrived.
 // While Run's pumps are active, Sync preempts a parked long poll instead of
-// queueing behind it (the pump retries from its cursor, losing nothing), so
-// the synchronous head observation an event-driven cycle depends on costs a
-// roundtrip, not a long-poll window.
+// queueing behind it, so the synchronous head observation an event-driven
+// cycle depends on costs a roundtrip, not a long-poll window.
 func (m *Mirror) Sync() (int, error) {
-	m.reqSyncs.Add(1)
-	if c, ok := m.reqCancel.Load().(context.CancelFunc); ok {
-		c()
-	}
-	n, err := m.syncRequests(context.Background(), 0)
-	m.reqSyncs.Add(-1)
+	n, err := m.reqs.preempt(m, m.Requests.Log)
 	if err != nil {
 		return n, err
 	}
-	m.qSyncs.Add(1)
-	if c, ok := m.qCancel.Load().(context.CancelFunc); ok {
-		c()
-	}
-	nq, err := m.syncQueries(context.Background(), 0)
-	m.qSyncs.Add(-1)
+	nq, err := m.queries.preempt(m, m.Queries.Log)
 	return n + nq, err
 }
 
@@ -410,7 +312,11 @@ func (m *Mirror) Run(stop <-chan struct{}) {
 		}
 	}
 	wg.Add(2)
-	go pump(m.syncRequests)
-	go pump(m.syncQueries)
+	go pump(func(ctx context.Context, wait time.Duration) (int, error) {
+		return m.reqs.sync(ctx, m, m.Requests.Log, wait)
+	})
+	go pump(func(ctx context.Context, wait time.Duration) (int, error) {
+		return m.queries.sync(ctx, m, m.Queries.Log, wait)
+	})
 	wg.Wait()
 }

@@ -616,8 +616,12 @@ func (p *Proxy) forwardStore(w http.ResponseWriter, r *http.Request, requestKey 
 
 // readBody reads an origin response's body whole, into a buffer sized from
 // its Content-Length when that is known (and sane): io.ReadAll starts at
-// 512 bytes and grows.
+// 512 bytes and grows. A response to HEAD has no body, whatever length it
+// announces.
 func readBody(resp *http.Response) ([]byte, error) {
+	if resp.Request.Method == http.MethodHead {
+		return nil, nil
+	}
 	if n := resp.ContentLength; n >= 0 && n <= 1<<20 {
 		body := make([]byte, n)
 		_, err := io.ReadFull(resp.Body, body)

@@ -113,6 +113,7 @@ func appendRequest(b []byte, req *Request) []byte {
 	b = binary.AppendVarint(b, req.LSN)
 	b = binary.AppendVarint(b, req.StmtID)
 	b = appendRow(b, req.Args)
+	b = binary.AppendVarint(b, req.LogEpoch)
 	return b
 }
 
@@ -131,6 +132,7 @@ func appendResponse(b []byte, resp *Response) []byte {
 	b = appendBool(b, resp.Truncated)
 	b = binary.AppendVarint(b, resp.NextLSN)
 	b = binary.AppendVarint(b, resp.FirstLSN)
+	b = binary.AppendVarint(b, resp.LogEpoch)
 	b = binary.AppendVarint(b, resp.StmtID)
 	b = binary.AppendVarint(b, int64(resp.NumArgs))
 	return b
@@ -320,6 +322,9 @@ func parseRequest(b []byte, req *Request) error {
 	if req.Args, err = r.row(); err != nil {
 		return err
 	}
+	if req.LogEpoch, err = r.varint(); err != nil {
+		return err
+	}
 	if len(r.b) != 0 {
 		return fmt.Errorf("wire: decode: %d trailing bytes in request", len(r.b))
 	}
@@ -371,6 +376,9 @@ func parseResponse(b []byte, resp *Response) error {
 		return err
 	}
 	if resp.FirstLSN, err = r.varint(); err != nil {
+		return err
+	}
+	if resp.LogEpoch, err = r.varint(); err != nil {
 		return err
 	}
 	if resp.StmtID, err = r.varint(); err != nil {

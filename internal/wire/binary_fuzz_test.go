@@ -140,18 +140,19 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 		r := fzReader{b: data}
 
 		req := Request{
-			Op:     OpQuery + Op(r.u8())%(OpSubscribeLog-OpQuery+1),
-			Query:  r.str(),
-			LSN:    r.i64(),
-			StmtID: r.i64(),
-			Args:   r.row(),
+			Op:       OpQuery + Op(r.u8())%(OpSubscribeLog-OpQuery+1),
+			Query:    r.str(),
+			LSN:      r.i64(),
+			StmtID:   r.i64(),
+			Args:     r.row(),
+			LogEpoch: r.i64(),
 		}
 		var reqBack Request
 		if err := parseRequest(appendRequest(nil, &req), &reqBack); err != nil {
 			t.Fatalf("decode request: %v", err)
 		}
 		if req.Op != reqBack.Op || req.Query != reqBack.Query || req.LSN != reqBack.LSN ||
-			req.StmtID != reqBack.StmtID || !sameRow(req.Args, reqBack.Args) {
+			req.StmtID != reqBack.StmtID || !sameRow(req.Args, reqBack.Args) || req.LogEpoch != reqBack.LogEpoch {
 			t.Fatalf("request roundtrip:\n in  %+v\n out %+v", req, reqBack)
 		}
 
@@ -178,6 +179,7 @@ func FuzzBinaryCodecRoundTrip(f *testing.F) {
 			Truncated:    r.u8()%2 == 1,
 			NextLSN:      r.i64(),
 			FirstLSN:     r.i64(),
+			LogEpoch:     r.i64(),
 			StmtID:       r.i64(),
 			NumArgs:      int(r.u8()),
 		}

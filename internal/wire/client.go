@@ -6,6 +6,7 @@ import (
 	"net"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"repro/internal/backoff"
@@ -60,6 +61,10 @@ type Client struct {
 	fails   int       // consecutive roundtrip/redial failures
 	retryAt time.Time // no redial before this instant
 	epoch   uint64    // bumped on every (re)attach; see Stmt
+
+	// logEpoch is the epoch of the server's update log as last seen, sent
+	// with every log read so a server that began a new log can say so.
+	logEpoch atomic.Int64
 }
 
 // Dial connects to a wire server.
@@ -236,18 +241,22 @@ func (c *Client) Query(sql string) (*engine.Result, error) {
 // Truncation is recomputed client-side from the server's FirstLSN when
 // present: the flag then depends only on (lsn, FirstLSN), not on which
 // connection carried the request, so a mid-pull reconnect cannot make the
-// caller observe the same truncation twice or not at all.
+// caller observe the same truncation twice or not at all. A server whose
+// log is not the one lsn was taken from (a new epoch, or a head below lsn,
+// as after a restart) returns no records: truncated is set and the next
+// LSN is the new log's oldest.
 func (c *Client) LogSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error) {
 	if lsn < 1 {
 		lsn = 1
 	}
-	resp, err := c.roundTrip(Request{Op: OpLogSince, LSN: lsn})
+	resp, err := c.roundTrip(Request{Op: OpLogSince, LSN: lsn, LogEpoch: c.logEpoch.Load()})
 	if err != nil {
 		return nil, false, 0, err
 	}
 	if resp.Error != "" {
 		return nil, false, 0, errors.New(resp.Error)
 	}
+	c.logEpoch.Store(resp.LogEpoch)
 	truncated := resp.Truncated || (resp.FirstLSN > 0 && lsn < resp.FirstLSN)
 	return resp.Records, truncated, resp.NextLSN, nil
 }
@@ -279,7 +288,7 @@ func (c *Client) streamLog(cursor int64, deliver func(Response)) error {
 	if t > 0 {
 		conn.SetWriteDeadline(time.Now().Add(t))
 	}
-	sub := Request{Op: OpSubscribeLog, LSN: cursor}
+	sub := Request{Op: OpSubscribeLog, LSN: cursor, LogEpoch: c.logEpoch.Load()}
 	if err := cc.writeRequest(&sub); err != nil {
 		c.dropConn(conn)
 		return fmt.Errorf("wire: subscribe send: %w", err)
@@ -303,6 +312,9 @@ func (c *Client) streamLog(cursor int64, deliver func(Response)) error {
 		if resp.Error != "" {
 			c.dropConn(conn)
 			return fmt.Errorf("wire: subscribe: %s", resp.Error)
+		}
+		if resp.LogEpoch != 0 {
+			c.logEpoch.Store(resp.LogEpoch)
 		}
 		if len(resp.Records) == 0 && !resp.Truncated {
 			continue // ack or heartbeat: no cursor movement

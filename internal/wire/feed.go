@@ -8,6 +8,7 @@ import (
 
 	"repro/internal/backoff"
 	"repro/internal/engine"
+	"repro/internal/feed"
 	"repro/internal/obs"
 	"repro/internal/trace"
 )
@@ -36,7 +37,8 @@ type LogFeed struct {
 	firstLSN  int64 // newest remote truncation context seen
 	next      int64 // resume cursor: one past the last buffered record
 	low       int64 // oldest LSN still answerable from the buffer
-	changed   chan struct{}
+	rewound   bool  // the server began a new log; see deliver
+	changed   feed.Changes
 	closed    bool
 
 	stop     chan struct{}
@@ -62,13 +64,12 @@ func NewLogFeed(c *Client, cursor int64, buffer int) *LogFeed {
 		cursor = 1
 	}
 	f := &LogFeed{
-		c:       c,
-		buffer:  buffer,
-		next:    cursor,
-		low:     cursor,
-		changed: make(chan struct{}),
-		stop:    make(chan struct{}),
-		done:    make(chan struct{}),
+		c:      c,
+		buffer: buffer,
+		next:   cursor,
+		low:    cursor,
+		stop:   make(chan struct{}),
+		done:   make(chan struct{}),
 	}
 	f.cond = sync.NewCond(&f.mu)
 	go f.run()
@@ -109,9 +110,9 @@ func (f *LogFeed) run() {
 	}
 }
 
-// deliver buffers one record-bearing frame, blocking for space when the
-// consumer is behind (backpressure propagates to the server through the
-// unread TCP stream, exactly like a slow subscriber on the hub).
+// deliver buffers one record-bearing or truncation frame, blocking for
+// space when the consumer is behind (backpressure propagates to the server
+// through the unread TCP stream, exactly like a slow subscriber on the hub).
 func (f *LogFeed) deliver(resp Response) {
 	f.mu.Lock()
 	defer f.mu.Unlock()
@@ -120,6 +121,14 @@ func (f *LogFeed) deliver(resp Response) {
 	}
 	if f.closed {
 		return
+	}
+	if resp.NextLSN < f.next {
+		// The server restarted the stream at its log's oldest record: the
+		// cursor indexed a log it no longer holds (a new epoch, or a head
+		// below the cursor). What is buffered is lost with that log; the
+		// frame's truncation flag reports it.
+		f.recs = f.recs[:0]
+		f.next, f.low, f.firstLSN, f.rewound = resp.NextLSN, resp.NextLSN, resp.FirstLSN, true
 	}
 	tr := f.tracer.Load()
 	now := time.Now()
@@ -145,14 +154,15 @@ func (f *LogFeed) deliver(resp Response) {
 	}
 	f.delivered.Add(int64(len(resp.Records)))
 	f.bursts.Add(1)
-	close(f.changed)
-	f.changed = make(chan struct{})
+	f.changed.Notify()
 }
 
 // PullSince drains the buffered stream: records with LSN >= lsn, whether the
 // server's log was truncated before the caller's cursor, and the cursor to
 // pull from next. It never blocks on the network: the answer is whatever the
-// stream has delivered so far.
+// stream has delivered so far. After the server began a new log, one pull
+// reports the truncation and answers from the new log's oldest record,
+// whatever lsn says.
 func (f *LogFeed) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, error) {
 	if lsn < 1 {
 		lsn = 1
@@ -161,6 +171,10 @@ func (f *LogFeed) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, erro
 	defer f.mu.Unlock()
 	if f.closed {
 		return nil, false, lsn, errors.New("wire: log feed closed")
+	}
+	if f.rewound {
+		f.rewound = false
+		lsn = f.low
 	}
 	truncated := f.truncated
 	f.truncated = false
@@ -190,7 +204,7 @@ func (f *LogFeed) PullSince(lsn int64) ([]engine.UpdateRecord, bool, int64, erro
 func (f *LogFeed) Changed() <-chan struct{} {
 	f.mu.Lock()
 	defer f.mu.Unlock()
-	return f.changed
+	return f.changed.Chan()
 }
 
 // FirstLSN returns the newest truncation context received from the server (0

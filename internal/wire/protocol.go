@@ -46,6 +46,11 @@ type Request struct {
 	StmtID int64
 	// Args are the bind values for OpExecute, in placeholder order.
 	Args []mem.Value
+	// LogEpoch, on OpLogSince and OpSubscribeLog, is the epoch of the
+	// update log LSN was taken from (0 when unknown). A server whose log
+	// has another epoch answers as for a cursor past its head: truncated,
+	// resuming at its oldest record.
+	LogEpoch int64
 }
 
 // Response is one server→client frame.
@@ -64,6 +69,10 @@ type Response struct {
 	// truncation as lsn < FirstLSN, so a reconnect mid-pull cannot lose the
 	// flag's meaning (0 = context not needed).
 	FirstLSN int64
+	// LogEpoch is the epoch of the server's update log on OpLogSince
+	// responses and SUBSCRIBE_LOG frames. It is not the client's
+	// connection epoch: it changes only when the server starts a new log.
+	LogEpoch int64
 	// StmtID / NumArgs answer OpPrepare: the handle to execute by, and how
 	// many bind arguments the statement expects.
 	StmtID  int64

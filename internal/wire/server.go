@@ -140,12 +140,14 @@ func (s *Server) serveConn(conn net.Conn) {
 }
 
 // serveSubscribe streams update-log batches to one client. The first frame is
-// an empty ack, so the client learns the stream is open (and resets its
-// reconnect backoff) without waiting for records or a heartbeat; after that,
-// record batches are pushed as they arrive, with empty heartbeat frames when
-// idle. Frames with records carry NextLSN/FirstLSN/Truncated exactly as a
-// LogSince response would; empty frames carry no cursor and must not advance
-// the client's.
+// an ack carrying the log's epoch, so the client learns the stream is open
+// (and resets its reconnect backoff) without waiting for records or a
+// heartbeat; after that, record batches are pushed as they arrive, with
+// empty heartbeat frames when idle. Frames with records carry
+// NextLSN/FirstLSN/Truncated exactly as a LogSince response would; empty
+// frames carry no cursor and must not advance the client's. A cursor from
+// another log (foreignCursor) turns the ack into a truncation frame, and the
+// stream starts at this log's oldest record.
 func (s *Server) serveSubscribe(conn net.Conn, cc *codec, req Request) {
 	s.mu.Lock()
 	s.subscribes++
@@ -154,10 +156,16 @@ func (s *Server) serveSubscribe(conn net.Conn, cc *codec, req Request) {
 		conn.SetWriteDeadline(time.Now().Add(streamWriteTimeout))
 		return cc.writeResponse(&resp)
 	}
-	if err := writeFrame(Response{}); err != nil {
+	log := s.DB.Log()
+	ack, foreign := foreignCursor(log, req)
+	if err := writeFrame(ack); err != nil {
 		return
 	}
-	sub := s.DB.Log().Subscribe(req.LSN, 0)
+	cursor := req.LSN
+	if foreign {
+		cursor = ack.NextLSN
+	}
+	sub := log.Subscribe(cursor, 0)
 	defer sub.Close()
 	hb := s.HeartbeatInterval
 	if hb <= 0 {
@@ -171,7 +179,7 @@ func (s *Server) serveSubscribe(conn net.Conn, cc *codec, req Request) {
 			if !ok {
 				return
 			}
-			resp := Response{Records: b.Recs, Truncated: b.Truncated, NextLSN: b.Next, FirstLSN: b.FirstSeq}
+			resp := Response{Records: b.Recs, Truncated: b.Truncated, NextLSN: b.Next, FirstLSN: b.FirstSeq, LogEpoch: ack.LogEpoch}
 			if err := writeFrame(resp); err != nil {
 				return
 			}
@@ -239,14 +247,34 @@ func (s *Server) handle(req Request, cs *connStmts) Response {
 		}
 		return Response{Columns: res.Columns, RowsAffected: res.RowsAffected, Rows: res.Rows}
 	case OpLogSince:
+		log := s.DB.Log()
+		if resp, foreign := foreignCursor(log, req); foreign {
+			return resp
+		}
 		// SinceNext observes records, cursor, and truncation context under one
 		// lock acquisition; reading NextLSN separately would race with appends
 		// and hand the client a cursor past records it never received.
-		recs, truncated, next, first := s.DB.Log().SinceNext(req.LSN)
-		return Response{Records: recs, Truncated: truncated, NextLSN: next, FirstLSN: first}
+		recs, truncated, next, first := log.SinceNext(req.LSN)
+		return Response{Records: recs, Truncated: truncated, NextLSN: next, FirstLSN: first, LogEpoch: log.Epoch()}
 	default:
 		return Response{Error: fmt.Sprintf("wire: unknown op %d", req.Op)}
 	}
+}
+
+// foreignCursor checks a log reader's cursor against this server's log. A
+// cursor taken from another log — another epoch, or past this log's head,
+// as after a restart — has nothing to resume: the reply flags the loss and
+// points the reader at this log's oldest record (foreign is true).
+// Otherwise the reply carries only the log's epoch.
+func foreignCursor(log *engine.UpdateLog, req Request) (resp Response, foreign bool) {
+	resp.LogEpoch = log.Epoch()
+	if (req.LogEpoch == 0 || req.LogEpoch == resp.LogEpoch) && req.LSN <= log.NextLSN() {
+		return resp, false
+	}
+	resp.Truncated = true
+	resp.NextLSN = log.FirstLSN()
+	resp.FirstLSN = resp.NextLSN
+	return resp, true
 }
 
 func (s *Server) queryDelay(sql string) time.Duration {
